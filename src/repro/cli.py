@@ -656,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="max_restarts",
                        help="supervise sharded scan workers: restart a "
                             "dead shard up to N times (with backoff) "
-                            "before re-fusing its patterns elsewhere")
+                            "before the parent runs it in-process")
         p.add_argument("--checkpoint-chunks", type=int, default=None,
                        dest="checkpoint_chunks",
                        help="snapshot shard state every N chunks for "

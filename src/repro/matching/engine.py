@@ -500,7 +500,8 @@ class PatternSet:
 
     @property
     def shard_failovers(self):
-        """Permanent shard failovers (sharded engine only)."""
+        """Shards taken over in-process once their restart budget ran
+        out (sharded engine only)."""
         return list(self._sharded.failovers) if self._sharded else []
 
     # -- scanning ------------------------------------------------------

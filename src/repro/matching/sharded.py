@@ -31,7 +31,7 @@ software analogue of that decomposition:
    this on the golden corpus and the differential fuzzer).
 
 Resilience is a supervised state machine per shard — **healthy →
-restarting(backoff) → failover → degraded**:
+restarting(backoff) → taken over**:
 
 * Without a :class:`~repro.resilience.budget.RestartPolicy` the
   behaviour is the original degrade-only one: a shard whose worker dies
@@ -41,25 +41,27 @@ restarting(backoff) → failover → degraded**:
   :attr:`ShardedScanner.failures`, and the ``scan.shard.failed`` counter
   is incremented when telemetry is on.
 * With a policy (``Budget(restart=RestartPolicy())``) recovery is
-  *lossless*.  Every ``checkpoint_chunks`` broadcast chunks each worker
+  *lossless*.  Every ``checkpoint_chunks`` broadcast chunks each shard
   ships its fused activation snapshot back with the chunk reply; the
-  parent holds it as a :class:`ShardCheckpoint` together with the
-  shard's last-emitted ``(end, pattern_id)`` watermark and buffers the
-  tail chunks since the oldest live checkpoint.  A failed worker is
-  restarted with exponential backoff, seeded from its checkpoint,
-  replays only the buffered tail, and the merge layer deduplicates
-  replayed events by watermark — the merged stream stays byte-identical
-  to an uninterrupted run (the simultaneous-finite-automata seam
-  argument: a chunk re-executed from a known entry state composes
-  exactly).  Once the policy's restart budget is exhausted the dead
-  shard's compiled patterns are re-fused onto the lightest surviving
-  shard (:func:`repro.matching.fused.append_nfas` keeps the host's
-  activation valid bit for bit), recorded as a :class:`ShardFailover`;
-  only when no survivor exists does the shard finally degrade.
+  parent holds it as a :class:`ShardCheckpoint` and buffers the tail
+  chunks since the oldest live checkpoint.  A failed worker is
+  restarted with exponential backoff, seeded from its checkpoint, and
+  replays only the buffered tail.  A shard merges each chunk's events
+  whole and remembers the last chunk it emitted, so replay emits only
+  the chunks after it and the merged stream stays byte-identical to an
+  uninterrupted run (the simultaneous-finite-automata seam argument: a
+  chunk re-executed from a known entry state composes exactly).  Once
+  the policy's restart budget is exhausted the parent *takes the shard
+  over*: it runs the shard in-process from the same checkpoint, through
+  the same tail replay, and records a :class:`ShardFailover`.
 
-An ``inline`` backend runs the same plan/merge machinery on in-process
-matchers (no workers) — the degenerate single-machine mode used for
-unit-testing the merge logic and on platforms without multiprocessing.
+Every shard answers one command protocol (:class:`_ShardCommands`): a
+worker process over its pipe, an in-process shard
+(:class:`_InlineShard`) behind the same ``send``/``poll``/``recv``
+connection interface.  The ``inline`` backend runs every shard that way
+— the degenerate single-machine mode used for unit-testing the merge
+logic and on platforms without multiprocessing — and a takeover runs
+one shard that way.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ from .fused import (
     DEFAULT_TABLE_STATES,
     FusedAutomaton,
     FusedMatcher,
-    append_nfas,
     fuse_patterns,
 )
 
@@ -227,26 +228,19 @@ def plan_shards(
 
 
 # ---------------------------------------------------------------------------
-# Worker side
+# Shard side: one command handler, in a worker process or in-process
 # ---------------------------------------------------------------------------
 
 
-def _shard_worker_main(
-    conn,
-    automaton: FusedAutomaton,
-    report_ids: Sequence[int],
-    cache_bytes: int,
-    table_states: int = DEFAULT_TABLE_STATES,
-    prefilter: bool = True,
-) -> None:
-    """Command loop of one shard worker process.
+class _ShardCommands:
+    """The shard end of the worker protocol: one fused matcher.
 
-    Protocol (parent -> worker / worker -> parent):
+    Protocol (parent -> shard / shard -> parent):
 
     * ``("feed", seq, data, want_ckpt)`` -> ``("events", seq,
       [(pattern_id, end), ...], busy_s, stats, snapshot)`` —
       fused-engine feed over one chunk; end offsets are chunk-relative,
-      pattern ids are the *original* set ids.  ``stats`` is the worker's
+      pattern ids are the *original* set ids.  ``stats`` is the shard's
       cumulative telemetry snapshot (lazy-DFA cache hits/misses, symbols
       scanned) — three ints per reply, so shipping it costs nothing
       measurable, and the parent merges the *deltas* into its registry
@@ -255,104 +249,30 @@ def _shard_worker_main(
       parent asked for a checkpoint (``want_ckpt``), else ``None``.
     * ``("restore", snapshot)`` -> ``("ok",)`` — adopt a parent-held
       checkpoint (or ``("error", message)`` on an incompatible one);
-      how a restarted worker is seeded before replaying the tail.
+      ``None`` is the empty activation.  How a reset rewinds a shard
+      and how a recovering shard is seeded before replaying the tail.
     * ``("finish",)`` -> ``("finished", [(pattern_id, -1), ...])`` —
       end-of-input finalisation: matches the ``$`` gate held as live
       candidates, reported with the
       :meth:`~repro.matching.fused.FusedMatcher.finish` ``-1``
       convention (the stream's final byte).  Non-mutating.
-    * ``("reset",)`` -> ``("ok",)`` — rewind to the empty activation.
     * ``("ping", nonce)`` -> ``("pong", nonce)`` — watchdog heartbeat;
       the nonce echo distinguishes a live reply from stale pipe data.
-    * ``("fail",)`` — hard-exit(1), the fault-injection hook tests use
-      to kill a shard deterministically mid-stream.
-    * ``("corrupt",)`` — emit one junk frame on the reply pipe (the
-      pipe-corruption chaos fault); the worker then continues normally.
-    * ``("stop",)`` — clean shutdown.
+    * ``("corrupt",)`` -> one junk frame (the pipe-corruption chaos
+      fault); the shard then continues normally.
+    * ``("hang", seconds)`` -> ``("ok",)`` after sleeping that long.
+
+    A worker process also obeys the two commands only a process can:
+    see :func:`_shard_worker_main`.
     """
-    matcher = FusedMatcher(
-        automaton,
-        cache_bytes=cache_bytes,
-        table_states=table_states,
-        prefilter=prefilter,
-    )
-    ids = list(report_ids)
-    symbols = 0
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                return  # parent went away; die quietly
-            op = message[0]
-            if op == "feed":
-                _, seq, data, want_ckpt = message
-                started = time.perf_counter()
-                events = [
-                    (ids[slot], end) for slot, end in matcher.feed(data)
-                ]
-                symbols += len(data)
-                stats = {
-                    "cache_hits": matcher.cache_hits,
-                    "cache_misses": matcher.cache_misses,
-                    "symbols": symbols,
-                }
-                conn.send(
-                    (
-                        "events",
-                        seq,
-                        events,
-                        time.perf_counter() - started,
-                        stats,
-                        matcher.state_snapshot() if want_ckpt else None,
-                    )
-                )
-            elif op == "restore":
-                try:
-                    matcher.restore_state(message[1])
-                except ValueError as error:
-                    conn.send(("error", str(error)))
-                else:
-                    conn.send(("ok",))
-            elif op == "finish":
-                conn.send(
-                    (
-                        "finished",
-                        [
-                            (ids[slot], end)
-                            for slot, end in matcher.finish()
-                        ],
-                    )
-                )
-            elif op == "reset":
-                matcher.reset()
-                conn.send(("ok",))
-            elif op == "ping":
-                conn.send(("pong", message[1] if len(message) > 1 else None))
-            elif op == "fail":
-                os._exit(1)
-            elif op == "corrupt":
-                conn.send(("junk", "corrupted-frame"))
-            elif op == "hang":
-                time.sleep(message[1])
-                conn.send(("ok",))
-            elif op == "stop":
-                return
-    finally:
-        conn.close()
-
-
-class _InlineShard:
-    """In-process stand-in for a worker: same protocol, no process."""
 
     def __init__(
         self,
         automaton: FusedAutomaton,
         report_ids: Sequence[int],
         cache_bytes: int,
-        label: str = "shard",
-        table_states: int = DEFAULT_TABLE_STATES,
-        prefilter: bool = True,
+        table_states: int,
+        prefilter: bool,
     ) -> None:
         self.matcher = FusedMatcher(
             automaton,
@@ -361,37 +281,121 @@ class _InlineShard:
             prefilter=prefilter,
         )
         self.ids = list(report_ids)
-        self.label = label
         self.symbols = 0
 
-    def feed(
-        self, data: bytes
-    ) -> Tuple[List[Tuple[int, int]], float, Dict[str, int]]:
-        started = time.perf_counter()
+    def _scan(self, data: bytes) -> List[Tuple[int, int]]:
+        return self.matcher.feed(data)
+
+    def answer(self, message: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        """The reply to one command."""
+        op = message[0]
+        matcher = self.matcher
+        if op == "feed":
+            _, seq, data, want_ckpt = message
+            started = time.perf_counter()
+            ids = self.ids
+            events = [(ids[slot], end) for slot, end in self._scan(data)]
+            self.symbols += len(data)
+            stats = {
+                "cache_hits": matcher.cache_hits,
+                "cache_misses": matcher.cache_misses,
+                "symbols": self.symbols,
+            }
+            return (
+                "events",
+                seq,
+                events,
+                time.perf_counter() - started,
+                stats,
+                matcher.state_snapshot() if want_ckpt else None,
+            )
+        if op == "restore":
+            try:
+                if message[1] is None:
+                    matcher.reset()
+                else:
+                    matcher.restore_state(message[1])
+            except ValueError as error:
+                return ("error", str(error))
+            return ("ok",)
+        if op == "finish":
+            ids = self.ids
+            final = [(ids[slot], end) for slot, end in matcher.finish()]
+            return ("finished", final)
+        if op == "ping":
+            return ("pong", message[1])
+        if op == "corrupt":
+            return ("junk", "corrupted-frame")
+        if op == "hang":
+            time.sleep(message[1])
+            return ("ok",)
+        raise ValueError(f"unknown shard command {op!r}")
+
+
+def _shard_worker_main(conn, *args) -> None:
+    """Command loop of one shard worker process.
+
+    :class:`_ShardCommands` (built from ``args``) answers every command
+    except the two only a process can obey: ``("fail",)`` hard-exits(1),
+    the fault-injection hook tests use to kill a shard deterministically
+    mid-stream, and ``("stop",)`` shuts down cleanly.
+    """
+    shard = _ShardCommands(*args)
+    try:
+        while True:
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                return  # parent went away; die quietly
+            if message[0] == "fail":
+                os._exit(1)
+            if message[0] == "stop":
+                return
+            conn.send(shard.answer(message))
+    finally:
+        conn.close()
+
+
+class _InlineShard(_ShardCommands):
+    """An in-process shard behind the connection interface.
+
+    ``send`` queues a command and ``recv`` answers the oldest one, so
+    worker shards sent the same chunk keep stepping in parallel while
+    the parent steps this one.  Runs every shard of the ``inline``
+    backend and each shard the parent took over.
+    """
+
+    def __init__(self, *args, label: str = "shard") -> None:
+        super().__init__(*args)
+        self.label = label
+        self._inbox: deque = deque()
+
+    def _scan(self, data: bytes) -> List[Tuple[int, int]]:
         prof = profiler.active_profiler()
-        if prof is not None:
-            # Inline shards are the profiler's multi-binding case: every
-            # shard walks the same input, so tallies merge by global
-            # pattern id and heatmap buckets line up.
-            pairs = prof.feed(self.matcher, data, self.ids, label=self.label)
-        else:
-            pairs = self.matcher.feed(data)
-        events = [(self.ids[slot], end) for slot, end in pairs]
-        self.symbols += len(data)
-        stats = {
-            "cache_hits": self.matcher.cache_hits,
-            "cache_misses": self.matcher.cache_misses,
-            "symbols": self.symbols,
-        }
-        return events, time.perf_counter() - started, stats
+        if prof is None:
+            return self.matcher.feed(data)
+        # In-process shards are the profiler's multi-binding case: every
+        # shard walks the same input, so tallies merge by global pattern
+        # id and heatmap buckets line up.
+        return prof.feed(self.matcher, data, self.ids, label=self.label)
 
-    def finish(self) -> List[Tuple[int, int]]:
-        return [
-            (self.ids[slot], end) for slot, end in self.matcher.finish()
-        ]
+    def send(self, message: Tuple[Any, ...]) -> None:
+        self._inbox.append(message)
 
-    def reset(self) -> None:
-        self.matcher.reset()
+    def poll(self, timeout: float = 0.0) -> bool:
+        return bool(self._inbox)
+
+    def recv(self) -> Tuple[Any, ...]:
+        try:
+            return self.answer(self._inbox.popleft())
+        except Exception as error:
+            # A crash must not take the parent down: the shard is dead,
+            # exactly as a worker whose pipe hit EOF.
+            log.exception("in-process %s crashed", self.label)
+            raise EOFError(str(error)) from error
+
+    def close(self) -> None:
+        self._inbox.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +425,10 @@ class ShardRestart:
 
 @dataclass(frozen=True)
 class ShardFailover:
-    """One permanent shard failure whose patterns moved to a survivor."""
+    """One shard whose restart budget ran out: the parent took it over
+    in-process from its checkpoint, so its patterns keep reporting."""
 
     shard: int
-    to_shard: int
     pattern_ids: Tuple[int, ...]
     reason: str
 
@@ -433,40 +437,15 @@ class ShardFailover:
 class ShardCheckpoint:
     """Parent-held recovery point for one shard.
 
-    ``snapshot`` is the worker's fused activation snapshot after chunk
+    ``snapshot`` is the shard's fused activation snapshot after chunk
     ``seq`` (``None`` means the empty activation — the floor checkpoint
-    installed at start/reset before any chunk was acknowledged);
-    ``watermark`` is the last-emitted ``(stream_end, pattern_id)`` event
-    at that moment, the dedup key replay filters against.
+    installed at start, reset or re-fuse, before any chunk was
+    acknowledged).
     """
 
     shard: int
     seq: int
     snapshot: Optional[Dict[str, int]]
-    watermark: Optional[Tuple[int, int]]
-
-    @property
-    def active(self) -> int:
-        return self.snapshot["active"] if self.snapshot else 0
-
-    @property
-    def at_start(self) -> bool:
-        """Whether stream offset 0 is still ahead at this checkpoint.
-
-        A floor checkpoint (``snapshot is None``) answers True: it is
-        installed at start/reset, before any byte.  One installed
-        mid-stream by an incremental re-fuse inherits the documented
-        empty-activation restart semantics — the shard's ``^`` gates
-        re-arm on its next chunk.
-        """
-        if self.snapshot is None:
-            return True
-        return bool(self.snapshot.get("at_start", 1))
-
-    @property
-    def tail_emits(self) -> int:
-        """The matcher's seam-dedup slot mask at this checkpoint."""
-        return self.snapshot.get("tail_emits", 0) if self.snapshot else 0
 
 
 #: Sentinel a supervised ``_recv_reply`` returns instead of degrading:
@@ -479,7 +458,6 @@ class _Shard:
     """Parent-side bookkeeping for one shard."""
 
     index: int
-    slots: List[int]
     pattern_ids: List[int]
     automaton: FusedAutomaton
     #: The shard's compiled patterns, kept so incremental add/remove can
@@ -488,13 +466,16 @@ class _Shard:
     #: Running cost-model total; the incremental planner assigns new
     #: patterns to the currently lightest shard by this number.
     cost: float = 0.0
+    #: Run by the parent (the inline backend, or a takeover) instead of
+    #: a worker process.
+    in_process: bool = False
     process: Optional[object] = None  # multiprocessing.Process
-    conn: Optional[object] = None  # parent end of the duplex pipe
-    inline: Optional[_InlineShard] = None
+    #: Parent end of the duplex pipe, or the :class:`_InlineShard`.
+    conn: Optional[object] = None
     alive: bool = True
     events_total: int = 0
     busy_s: float = 0.0
-    #: Latest cumulative telemetry snapshot shipped back by the worker
+    #: Latest cumulative telemetry snapshot shipped back by the shard
     #: (cache hits/misses, symbols scanned) and the portion of it already
     #: published into the parent registry — the difference is the delta
     #: :meth:`ShardedScanner._record_metrics` merges under ``shard=N``.
@@ -508,20 +489,11 @@ class _Shard:
     # Replies can momentarily run ahead of the collector when a chunk's
     # answer arrives while a later chunk is being sent; buffer by seq.
     pending: Dict[int, Tuple[Any, ...]] = field(default_factory=dict)
+    #: Last chunk whose events were merged; a replay emits only the
+    #: chunks after it.
+    emitted: int = -1
     # -- supervision state (unused without a RestartPolicy) ------------
-    #: Last two checkpoints; the previous one is what failover needs
-    #: when the survivor already checkpointed one boundary ahead.
     ckpt: Optional[ShardCheckpoint] = None
-    prev_ckpt: Optional[ShardCheckpoint] = None
-    #: Last-emitted ``(stream_end, pattern_id)`` over *consumed* replies.
-    watermark: Optional[Tuple[int, int]] = None
-    #: Per-pattern watermark overrides, non-empty only between a
-    #: failover adoption and the heal that re-synchronises both origins
-    #: (the adopted patterns' emit horizon lags the host's by up to one
-    #: chunk, so one merged watermark would over- or under-filter).
-    wm_overrides: Dict[int, Optional[Tuple[int, int]]] = field(
-        default_factory=dict
-    )
     #: Restart-budget spend against ``RestartPolicy.max_restarts``.
     restarts_used: int = 0
     #: Failure noticed but not yet healed ("died"/"timeout"/...).
@@ -552,8 +524,8 @@ class ShardedScanner:
             the platform default.
         restart_policy: a :class:`~repro.resilience.budget.RestartPolicy`
             arming supervised recovery (checkpoints, bounded restarts
-            with backoff, failover re-fuse); ``None`` keeps the original
-            degrade-only behaviour.  Process backend only.
+            with backoff, then an in-process takeover); ``None`` keeps
+            the original degrade-only behaviour.
         seed: seeds the supervision RNG (backoff jitter) so recovery
             schedules replay deterministically.
     """
@@ -604,31 +576,35 @@ class ShardedScanner:
         self.failovers: List[ShardFailover] = []
         self._started = False
         self._closed = False
-        #: Next broadcast sequence number; persistent across feeds so
-        #: checkpoint boundaries stay uniform over the whole stream.
+        #: Next broadcast sequence number since the last reset; persistent
+        #: across feeds so checkpoint boundaries stay uniform over the
+        #: whole stream.
         self._seq = 0
-        #: Total bytes fed since the last reset — the global-offset base
-        #: watermarks are expressed in.
-        self._stream_pos = 0
-        #: Buffered tail chunks ``seq -> (stream_base, bytes)`` since the
-        #: oldest live checkpoint (supervised runs only; bounded by
+        #: Buffered tail chunks ``seq -> bytes`` since the oldest live
+        #: checkpoint (supervised runs only; bounded by
         #: ``checkpoint_chunks`` plus the in-flight window).
-        self._tail: "OrderedDict[int, Tuple[int, bytes]]" = OrderedDict()
+        self._tail: "OrderedDict[int, bytes]" = OrderedDict()
         self._hb_nonce = 0
-        self._shards: List[_Shard] = []
         ids = list(pattern_ids)
-        for index, slots in enumerate(self.plan.shards):
-            members = [compiled[slot] for slot in slots]
-            self._shards.append(
-                _Shard(
-                    index=index,
-                    slots=list(slots),
-                    pattern_ids=[ids[slot] for slot in slots],
-                    automaton=fuse_patterns(members),
-                    compiled=members,
-                    cost=self.plan.costs[index],
-                )
+        self._shards: List[_Shard] = [
+            self._new_shard(
+                index,
+                [ids[slot] for slot in slots],
+                [compiled[slot] for slot in slots],
+                self.plan.costs[index],
             )
+            for index, slots in enumerate(self.plan.shards)
+        ]
+
+    def _new_shard(self, index, pattern_ids, compiled, cost=0.0) -> _Shard:
+        return _Shard(
+            index=index,
+            pattern_ids=pattern_ids,
+            automaton=fuse_patterns(compiled),
+            compiled=compiled,
+            cost=cost,
+            in_process=self.backend == "inline",
+        )
 
     # -- lifecycle -----------------------------------------------------
 
@@ -638,24 +614,26 @@ class ShardedScanner:
 
     @property
     def _supervised(self) -> bool:
-        """Supervised recovery is armed (policy set, process backend)."""
-        return self.restart_policy is not None and self.backend == "process"
+        """Supervised recovery is armed."""
+        return self.restart_policy is not None
+
+    def _want_ckpt(self, seq: int) -> bool:
+        """Whether chunk ``seq`` ends on a checkpoint boundary."""
+        policy = self.restart_policy
+        return policy is not None and (seq + 1) % policy.checkpoint_chunks == 0
 
     def _floor_checkpoint(self, shard: _Shard) -> ShardCheckpoint:
         """The empty-activation checkpoint at the current stream point —
         what a shard recovers from before its first real snapshot."""
         return ShardCheckpoint(
-            shard=shard.index,
-            seq=self._seq - 1,
-            snapshot=None,
-            watermark=None,
+            shard=shard.index, seq=self._seq - 1, snapshot=None
         )
 
     def live_shards(self) -> List[int]:
         return [s.index for s in self._shards if s.alive]
 
     def worker_pids(self) -> List[Optional[int]]:
-        """One pid per shard (None: inline backend or not started)."""
+        """One pid per shard (None: in-process shard or not started)."""
         return [
             s.process.pid if s.process is not None else None
             for s in self._shards
@@ -672,29 +650,22 @@ class ShardedScanner:
             return multiprocessing.get_context()
 
     def _start_shard(self, shard: _Shard) -> None:
-        """Launch one shard's execution backend (worker or inline)."""
-        if self.backend == "inline":
-            shard.inline = _InlineShard(
-                shard.automaton,
-                shard.pattern_ids,
-                self.cache_bytes,
-                label=f"shard-{shard.index}",
-                table_states=self.table_states,
-                prefilter=self.prefilter,
-            )
+        """Launch one shard: a worker process, or an in-process shard."""
+        args = (
+            shard.automaton,
+            shard.pattern_ids,
+            self.cache_bytes,
+            self.table_states,
+            self.prefilter,
+        )
+        if shard.in_process:
+            shard.conn = _InlineShard(*args, label=f"shard-{shard.index}")
             return
         ctx = self._context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         process = ctx.Process(
             target=_shard_worker_main,
-            args=(
-                child_conn,
-                shard.automaton,
-                shard.pattern_ids,
-                self.cache_bytes,
-                self.table_states,
-                self.prefilter,
-            ),
+            args=(child_conn, *args),
             daemon=True,
             name=f"repro-shard-{shard.index}",
         )
@@ -722,7 +693,6 @@ class ShardedScanner:
                 shard.process.terminate()
                 shard.process.join(timeout=2.0)
             shard.process = None
-        shard.inline = None
 
     def start(self) -> None:
         """Start the workers (idempotent; feed/reset call this lazily)."""
@@ -733,9 +703,8 @@ class ShardedScanner:
         self._started = True
         for shard in self._shards:
             self._start_shard(shard)
-            if self._supervised:
-                shard.ckpt = self._floor_checkpoint(shard)
-        if self.backend == "process" and telemetry.metrics_enabled():
+            shard.ckpt = self._floor_checkpoint(shard)
+        if telemetry.metrics_enabled():
             telemetry.registry().gauge("scan.shard.workers").set(
                 len(self.live_shards())
             )
@@ -785,11 +754,7 @@ class ShardedScanner:
         shard.automaton = fuse_patterns(shard.compiled)
         shard.pending.clear()
         self._fold_stats(shard)
-        if self._supervised:
-            shard.ckpt = self._floor_checkpoint(shard)
-            shard.prev_ckpt = None
-            shard.watermark = None
-            shard.wm_overrides = {}
+        shard.ckpt = self._floor_checkpoint(shard)
         if self._started and shard.alive:
             self._stop_shard(shard)
             self._start_shard(shard)
@@ -819,13 +784,7 @@ class ShardedScanner:
             cost = estimate_cost(regex).cost
             live = [s for s in self._shards if s.alive]
             if not live:
-                shard = _Shard(
-                    index=len(self._shards),
-                    slots=[],
-                    pattern_ids=[],
-                    automaton=fuse_patterns([]),
-                    compiled=[],
-                )
+                shard = self._new_shard(len(self._shards), [], [])
                 self._shards.append(shard)
                 live = [shard]
             shard = min(live, key=lambda s: (s.cost, s.index))
@@ -892,13 +851,17 @@ class ShardedScanner:
         shard.pending.clear()
         self._fold_stats(shard)
 
+    @staticmethod
+    def _exited(shard: _Shard) -> bool:
+        """Whether the shard's worker process has exited."""
+        return shard.process is not None and not shard.process.is_alive()
+
     def _degrade(self, shard: _Shard, reason: str) -> None:
         """Mark one shard failed; the scan continues without it."""
         if not shard.alive:
             return
         shard.alive = False
         shard.fault = None
-        shard.wm_overrides = {}
         self._teardown_worker(shard)
         failure = ShardFailure(
             shard=shard.index,
@@ -937,34 +900,27 @@ class ShardedScanner:
 
     # -- supervised recovery -------------------------------------------
 
-    def _absorb_reply(
+    def _absorb(
         self,
         shard: _Shard,
         seq: int,
-        stream_base: int,
         reply: Tuple[Any, ...],
         gathered: List[Tuple[int, int]],
     ) -> None:
-        """Consume one healthy ``events`` reply: merge its events and,
-        under supervision, advance the shard's watermark/checkpoint."""
+        """Consume one ``events`` reply for chunk ``seq``: install the
+        checkpoint it carries and merge its events whole, unless the
+        shard already emitted that chunk (a replay)."""
         events, busy_s, stats, snapshot = reply
-        shard.events_total += len(events)
         shard.busy_s += busy_s
         shard.worker_stats = stats
-        if self._supervised:
-            if events:
-                last = max((stream_base + end, pid) for pid, end in events)
-                if shard.watermark is None or last > shard.watermark:
-                    shard.watermark = last
-            if snapshot is not None:
-                shard.prev_ckpt = shard.ckpt
-                shard.ckpt = ShardCheckpoint(
-                    shard=shard.index,
-                    seq=seq,
-                    snapshot=snapshot,
-                    watermark=shard.watermark,
-                )
-        gathered.extend(events)
+        if snapshot is not None:
+            shard.ckpt = ShardCheckpoint(
+                shard=shard.index, seq=seq, snapshot=snapshot
+            )
+        if seq > shard.emitted:
+            shard.emitted = seq
+            shard.events_total += len(events)
+            gathered.extend(events)
 
     def _prune_tail(self) -> None:
         """Drop buffered tail chunks every live shard has checkpointed
@@ -982,389 +938,141 @@ class ShardedScanner:
         while self._tail and next(iter(self._tail)) <= floor:
             self._tail.popitem(last=False)
 
-    def _filter_replayed(
-        self,
-        shard: _Shard,
-        chunk_base: int,
-        events: List[Tuple[int, int]],
-    ) -> List[Tuple[int, int]]:
-        """Drop replayed events already emitted, advancing the shard's
-        watermark(s) with the survivors.
-
-        Normally one watermark covers the whole shard; during a failover
-        adoption the per-pattern ``wm_overrides`` keep the dedup exact
-        for the adopted patterns, whose emit horizon lags the host's.
-        """
-        fresh: List[Tuple[int, int]] = []
-        overrides = shard.wm_overrides
-        for pid, end in events:
-            key = (chunk_base + end, pid)
-            if pid in overrides:
-                wm = overrides[pid]
-                if wm is None or key > wm:
-                    fresh.append((pid, end))
-                    overrides[pid] = key
-            else:
-                wm = shard.watermark
-                if wm is None or key > wm:
-                    fresh.append((pid, end))
-                    shard.watermark = key
-        return fresh
-
-    def _collapse_overrides(self, shard: _Shard) -> None:
-        """Merge the per-pattern overrides back into one watermark.
-
-        Exact once every origin has been emitted through the same chunk
-        boundary — which a completed heal replay guarantees, since later
-        chunks' stream ends are strictly larger than any earlier
-        chunk's.
-        """
-        if not shard.wm_overrides:
-            return
-        marks = [wm for wm in shard.wm_overrides.values() if wm is not None]
-        if shard.watermark is not None:
-            marks.append(shard.watermark)
-        shard.watermark = max(marks) if marks else None
-        shard.wm_overrides = {}
-
-    def _replay_tail(
-        self, shard: _Shard, start_seq: int, seq: int
-    ) -> Optional[Tuple[List[Tuple[int, int]], int]]:
-        """Replay buffered tail chunks ``start_seq..seq`` through a
-        recovering worker, deduplicating against the watermark(s) and
-        installing the checkpoints it ships back.  Returns ``(fresh
-        events for chunk seq, replayed bytes)``, or None when a chunk
-        replay failed (``shard.fault`` set; nothing unrecoverable was
-        emitted — fresh events only ever appear at chunk ``seq``, the
-        last one replayed)."""
-        replayed = 0
-        fresh_for_seq: List[Tuple[int, int]] = []
-        for s in range(start_seq, seq + 1):
-            entry = self._tail.get(s)
-            if entry is None:  # pruned past a live checkpoint: impossible
-                shard.fault = "tail_gap"  # unless bookkeeping broke; bail
-                return None
-            chunk_base, chunk = entry
-            reply = self._replay_chunk(shard, s, chunk)
-            if reply is None:
-                return None
-            events, busy_s, stats, snapshot = reply
-            replayed += len(chunk)
-            shard.busy_s += busy_s
-            shard.worker_stats = stats
-            fresh = self._filter_replayed(shard, chunk_base, events)
-            shard.events_total += len(fresh)
-            if snapshot is not None:
-                shard.prev_ckpt = shard.ckpt
-                shard.ckpt = ShardCheckpoint(
-                    shard=shard.index,
-                    seq=s,
-                    snapshot=snapshot,
-                    watermark=shard.watermark,
-                )
-            if s == seq:
-                fresh_for_seq = fresh
-        return fresh_for_seq, replayed
-
     def _heal(
-        self, shard: _Shard, seq: int, stream_base: int
-    ) -> List[Tuple[int, int]]:
-        """Recover one failed shard at chunk ``seq``: bounded restarts
-        with backoff, then failover, then degrade.  Returns the shard's
-        (deduplicated) events for chunk ``seq``."""
+        self, shard: _Shard, seq: int, gathered: List[Tuple[int, int]]
+    ) -> None:
+        """Recover one failed shard at chunk ``seq``: up to the policy's
+        ``max_restarts`` worker restarts with backoff, then the parent
+        takes the shard over in-process.  Both seed from the shard's
+        checkpoint and replay the buffered tail, merging the chunks the
+        shard has not emitted yet into ``gathered``.  Degrades only if
+        the takeover itself fails."""
         policy = self.restart_policy
-        reason = shard.fault or "died"
-        shard.fault = None
-        while shard.alive and shard.restarts_used < policy.max_restarts:
-            shard.restarts_used += 1
-            attempt = shard.restarts_used
-            backoff = policy.backoff_s(attempt, self._rng)
-            log.warning(
-                "shard %d worker failed (%s); restart attempt %d/%d "
-                "after %.3fs backoff",
-                shard.index, reason, attempt, policy.max_restarts, backoff,
-            )
-            self._teardown_worker(shard)
-            if backoff > 0:
-                time.sleep(backoff)
-            events = self._revive(shard, seq, stream_base, reason, backoff)
-            if events is not None:
-                return events
+        while shard.alive:
             reason = shard.fault or "died"
             shard.fault = None
-        return self._failover(shard, seq, stream_base, reason)
-
-    def _restore_worker(self, shard: _Shard, snapshot) -> bool:
-        """Seed a freshly started worker from a checkpoint snapshot
-        (``None`` = empty activation); False on any handshake failure."""
-        try:
-            if snapshot is not None:
-                shard.conn.send(("restore", snapshot))
+            self._teardown_worker(shard)
+            if shard.in_process:  # nothing left to fall back on
+                self._degrade(shard, reason)
+                return
+            backoff = None
+            if shard.restarts_used < policy.max_restarts:
+                shard.restarts_used += 1
+                backoff = policy.backoff_s(shard.restarts_used, self._rng)
+                log.warning(
+                    "shard %d worker failed (%s); restart attempt %d/%d "
+                    "after %.3fs backoff",
+                    shard.index, reason, shard.restarts_used,
+                    policy.max_restarts, backoff,
+                )
+                if backoff > 0:
+                    time.sleep(backoff)
             else:
-                shard.conn.send(("reset",))
-            if not shard.conn.poll(self.recv_timeout_s):
-                shard.fault = "restore_timeout"
-                return False
-            ack = shard.conn.recv()
-        except (EOFError, OSError, ValueError, BrokenPipeError):
-            shard.fault = "restore_failed"
-            return False
-        if ack[0] != "ok":
-            shard.fault = "restore_rejected"
-            return False
-        return True
-
-    def _replay_chunk(self, shard: _Shard, seq: int, chunk: bytes):
-        """Send one buffered tail chunk to a recovering worker and wait
-        for its reply; None on failure (``shard.fault`` set)."""
-        want_ckpt = (seq + 1) % self.restart_policy.checkpoint_chunks == 0
-        try:
-            shard.conn.send(("feed", seq, chunk, want_ckpt))
-        except (OSError, ValueError, BrokenPipeError):
-            shard.fault = "send_failed"
-            return None
-        reply = self._recv_reply(shard, seq)
-        if reply is None or reply is _FAILED:
-            return None
-        return reply
-
-    def _resend_inflight(self, shard: _Shard, seq: int) -> bool:
-        """Re-broadcast the chunks beyond ``seq`` that were already in
-        flight when the shard failed (their original replies died with
-        the old worker; replay regenerates them deterministically)."""
-        for later in range(seq + 1, self._seq):
-            entry = self._tail.get(later)
-            if entry is None:
-                continue
-            want_ckpt = (
-                (later + 1) % self.restart_policy.checkpoint_chunks == 0
-            )
-            try:
-                shard.conn.send(("feed", later, entry[1], want_ckpt))
-            except (OSError, ValueError, BrokenPipeError):
-                shard.fault = "send_failed"
-                return False
-        return True
+                shard.in_process = True
+            ckpt_seq = shard.ckpt.seq
+            replayed = self._revive(shard, seq, gathered)
+            if replayed is not None:
+                self._record_recovery(
+                    shard, reason, backoff, replayed, ckpt_seq
+                )
+                return
 
     def _revive(
-        self,
-        shard: _Shard,
-        seq: int,
-        stream_base: int,
-        reason: str,
-        backoff: float,
-    ) -> Optional[List[Tuple[int, int]]]:
-        """One restart attempt: relaunch the worker, seed it from the
-        shard's checkpoint, replay the buffered tail through chunk
-        ``seq`` deduplicating by watermark, and re-send the in-flight
-        chunks beyond it.  Returns chunk ``seq``'s fresh events, or
-        None when the attempt itself failed (caller retries)."""
+        self, shard: _Shard, seq: int, gathered: List[Tuple[int, int]]
+    ) -> Optional[int]:
+        """One recovery attempt: relaunch the shard, seed it from its
+        checkpoint, replay the buffered tail through chunk ``seq``, and
+        re-send the in-flight chunks beyond it (their replies died with
+        the old worker).  Returns the replayed byte count, or None when
+        the attempt itself failed (``shard.fault`` set)."""
         ckpt = shard.ckpt
         self._start_shard(shard)
-        if not self._restore_worker(shard, ckpt.snapshot if ckpt else None):
+        reply = self._ask(shard, ("restore", ckpt.snapshot), "ok", "error")
+        if reply is None:
+            shard.fault = "restore_failed"
             return None
-        start_seq = (ckpt.seq if ckpt is not None else self._seq - 1) + 1
-        result = self._replay_tail(shard, start_seq, seq)
-        if result is None:
+        if reply[0] != "ok":
+            shard.fault = "restore_rejected"
             return None
-        fresh_for_seq, replayed = result
-        self._collapse_overrides(shard)
+        replayed = 0
+        for s in range(ckpt.seq + 1, seq + 1):
+            chunk = self._tail.get(s)
+            if chunk is None:  # pruned past a live checkpoint: impossible
+                shard.fault = "tail_gap"  # unless bookkeeping broke; bail
+                return None
+            if not self._send(shard, ("feed", s, chunk, self._want_ckpt(s))):
+                return None
+            reply = self._recv_reply(shard, s)
+            if reply is None or reply is _FAILED:
+                return None
+            self._absorb(shard, s, reply, gathered)
+            replayed += len(chunk)
         # Best-effort: the replay through chunk ``seq`` succeeded and its
-        # fresh events are already watermarked, so they MUST be emitted —
-        # a resend failure only notes the fault and the next collect
-        # heals again from here.
-        self._resend_inflight(shard, seq)
-        restart = ShardRestart(
-            shard=shard.index,
-            attempt=shard.restarts_used,
-            reason=reason,
-            backoff_s=backoff,
-            replayed_bytes=replayed,
-        )
-        self.restarts.append(restart)
-        log.info(
-            "shard %d restarted (attempt %d, %s); replayed %d tail bytes",
-            shard.index, restart.attempt, reason, replayed,
-        )
+        # events are merged, so a resend failure only notes the fault
+        # and the next collect heals again from here.
+        for later in range(seq + 1, self._seq):
+            message = ("feed", later, self._tail[later], self._want_ckpt(later))
+            if not self._send(shard, message):
+                break
+        return replayed
+
+    def _record_recovery(
+        self,
+        shard: _Shard,
+        reason: str,
+        backoff: Optional[float],
+        replayed: int,
+        ckpt_seq: int,
+    ) -> None:
+        """Record one completed recovery: a worker restart, or (no
+        ``backoff``) the parent's takeover of the shard."""
+        if backoff is None:
+            counter, kind = "scan.shard.failovers", "shard_failover"
+            detail = {"pattern_ids": list(shard.pattern_ids)}
+            self.failovers.append(
+                ShardFailover(
+                    shard=shard.index,
+                    pattern_ids=tuple(shard.pattern_ids),
+                    reason=reason,
+                )
+            )
+            log.warning(
+                "shard %d failed permanently (%s); the parent took over "
+                "patterns %s in-process, replaying %d tail bytes",
+                shard.index, reason, list(shard.pattern_ids), replayed,
+            )
+        else:
+            counter, kind = "scan.shard.restarts", "shard_restart"
+            detail = {"attempt": shard.restarts_used}
+            self.restarts.append(
+                ShardRestart(
+                    shard=shard.index,
+                    attempt=shard.restarts_used,
+                    reason=reason,
+                    backoff_s=backoff,
+                    replayed_bytes=replayed,
+                )
+            )
+            log.info(
+                "shard %d restarted (attempt %d, %s); replayed %d tail bytes",
+                shard.index, shard.restarts_used, reason, replayed,
+            )
         if telemetry.metrics_enabled():
             registry = telemetry.registry()
-            registry.counter("scan.shard.restarts").inc()
+            registry.counter(counter).inc()
             registry.counter("scan.shard.replayed_bytes").inc(replayed)
         if flight.flight_enabled():
             flight.record(
-                "shard_restart",
+                kind,
                 shard=shard.index,
-                attempt=restart.attempt,
                 reason=reason,
                 replayed_bytes=replayed,
-                checkpoint_seq=ckpt.seq if ckpt is not None else None,
-            )
-        return fresh_for_seq
-
-    def _host_snapshot_at(
-        self, host: _Shard, seq: int
-    ) -> Optional[ShardCheckpoint]:
-        """The host's checkpoint at exactly ``seq``, if it kept one."""
-        if host.ckpt is not None and host.ckpt.seq == seq:
-            return host.ckpt
-        if host.prev_ckpt is not None and host.prev_ckpt.seq == seq:
-            return host.prev_ckpt
-        return None
-
-    def _failover(
-        self,
-        shard: _Shard,
-        seq: int,
-        stream_base: int,
-        reason: str,
-    ) -> List[Tuple[int, int]]:
-        """Permanent failure: re-fuse the dead shard's patterns onto the
-        lightest surviving shard, losslessly.
-
-        The host's automaton grows by :func:`append_nfas` (its existing
-        combined-state indices — and therefore its checkpointed
-        activation mask — stay valid bit for bit); the dead shard's
-        checkpointed activation shifts into the appended slice.  Both
-        origins' tails replay from the common checkpoint with per-origin
-        watermark dedup, after which a single merged watermark is exact
-        again.  Degrades only when no aligned survivor exists.
-        """
-        self._teardown_worker(shard)
-        survivors = [
-            s for s in self._shards if s.alive and s is not shard
-        ]
-        if not survivors or not shard.compiled:
-            self._degrade(shard, reason)
-            return []
-        ckpt_x = shard.ckpt or self._floor_checkpoint(shard)
-        host = min(survivors, key=lambda s: (s.cost, s.index))
-        host_ckpt = self._host_snapshot_at(host, ckpt_x.seq)
-        if host_ckpt is None:
-            # Checkpoints misaligned (e.g. the host itself just healed
-            # mid-boundary): lossless adoption is impossible, fail soft.
-            self._degrade(shard, reason)
-            return []
-        for s in range(ckpt_x.seq + 1, seq + 1):
-            if s not in self._tail:
-                self._degrade(shard, reason)
-                return []
-        # -- build the combined automaton and activation ---------------
-        x_auto = shard.automaton
-        host_states = host.automaton.num_states
-        combined_auto = append_nfas(
-            host.automaton,
-            x_auto.nfas,
-            sources=list(x_auto.sources) if x_auto.sources else None,
-            literals=list(x_auto.literals) if x_auto.literals else None,
-        )
-        combined_active = host_ckpt.active | (ckpt_x.active << host_states)
-        # Stream bookkeeping composes slot-wise: the adopted patterns'
-        # seam-dedup bits shift past the host's slots, and both origins
-        # checkpointed the same stream boundary so the host's at_start
-        # answers for the pair.
-        host_patterns = len(host.pattern_ids)
-        combined_snapshot = {
-            "version": FusedMatcher.STATE_VERSION,
-            "active": combined_active,
-            "num_states": combined_auto.num_states,
-            "at_start": int(host_ckpt.at_start),
-            "tail_emits": host_ckpt.tail_emits
-            | (ckpt_x.tail_emits << host_patterns),
-        }
-        adopted_ids = tuple(shard.pattern_ids)
-        x_wm = shard.watermark
-        x_overrides = dict(shard.wm_overrides)
-        # -- restart the host on the combined automaton ----------------
-        self._teardown_worker(host)
-        host.automaton = combined_auto
-        host.slots.extend(shard.slots)
-        host.pattern_ids.extend(shard.pattern_ids)
-        host.compiled.extend(shard.compiled)
-        host.cost += shard.cost
-        shard.slots = []
-        shard.pattern_ids = []
-        shard.compiled = []
-        shard.cost = 0.0
-        shard.alive = False
-        shard.ckpt = None
-        shard.prev_ckpt = None
-        shard.wm_overrides = {}
-        # Per-origin dedup: the host acked through the failed chunk but
-        # the dead shard only through the one before it, so one merged
-        # watermark would over-filter the adopted patterns' events in
-        # that chunk.  The overrides stay on the host until a completed
-        # heal replay re-synchronises both origins (then they collapse
-        # back into the single watermark) — and they survive a nested
-        # failover, where a mid-adoption host hands its own overrides
-        # down to the next survivor.
-        for pid in adopted_ids:
-            host.wm_overrides[pid] = x_overrides.get(pid, x_wm)
-        # From here on the host recovers from the combined checkpoint
-        # even if this adoption replay itself fails (it keeps its own
-        # restart budget, so its supervision takes over).
-        host.ckpt = ShardCheckpoint(
-            shard=host.index,
-            seq=ckpt_x.seq,
-            snapshot=combined_snapshot,
-            watermark=host.watermark,
-        )
-        host.prev_ckpt = None
-        self._record_failover(shard, host, adopted_ids, reason)
-        self._start_shard(host)
-        if not self._restore_worker(host, combined_snapshot):
-            return self._heal(host, seq, stream_base)
-        result = self._replay_tail(host, ckpt_x.seq + 1, seq)
-        if result is None:
-            # Nothing fresh was emitted before the failed chunk's reply,
-            # so handing over to the host's own supervision (same seq,
-            # same watermarks) stays lossless.
-            return self._heal(host, seq, stream_base)
-        fresh_for_seq, replayed = result
-        self._collapse_overrides(host)
-        if telemetry.metrics_enabled():
-            telemetry.registry().counter(
-                "scan.shard.replayed_bytes"
-            ).inc(replayed)
-        # If re-broadcasting the in-flight chunks fails the fault is
-        # noted and the next collect heals the host; the healed chunk's
-        # events are already safe to emit either way.
-        self._resend_inflight(host, seq)
-        return fresh_for_seq
-
-    def _record_failover(
-        self,
-        shard: _Shard,
-        host: _Shard,
-        pattern_ids: Tuple[int, ...],
-        reason: str,
-    ) -> None:
-        failover = ShardFailover(
-            shard=shard.index,
-            to_shard=host.index,
-            pattern_ids=pattern_ids,
-            reason=reason,
-        )
-        self.failovers.append(failover)
-        log.warning(
-            "shard %d failed permanently (%s); patterns %s re-fused onto "
-            "shard %d",
-            shard.index, reason, list(pattern_ids), host.index,
-        )
-        if telemetry.metrics_enabled():
-            registry = telemetry.registry()
-            registry.counter("scan.shard.failovers").inc()
-            registry.gauge("scan.shard.workers").set(len(self.live_shards()))
-        if flight.flight_enabled():
-            flight.record(
-                "shard_failover",
-                shard=shard.index,
-                to_shard=host.index,
-                reason=reason,
-                pattern_ids=list(pattern_ids),
+                checkpoint_seq=ckpt_seq,
+                **detail,
             )
 
     def heartbeat(self) -> Dict[int, bool]:
-        """Watchdog probe: nonced ping to every live worker.
+        """Watchdog probe: nonced ping to every live shard.
 
         Detects a hung (e.g. SIGSTOPped) worker while the stream is
         idle, without waiting for the next chunk's reply deadline.  A
@@ -1375,39 +1083,20 @@ class ShardedScanner:
         self.start()
         status: Dict[int, bool] = {}
         for shard in self._shards:
-            if not shard.alive:
-                status[shard.index] = False
-                continue
-            if self.backend == "inline":
-                status[shard.index] = True
-                continue
-            self._hb_nonce += 1
-            nonce = self._hb_nonce
             ok = False
-            try:
-                shard.conn.send(("ping", nonce))
-                deadline = time.monotonic() + self.recv_timeout_s
-                while time.monotonic() < deadline:
-                    if not shard.conn.poll(0.05):
-                        continue
-                    message = shard.conn.recv()
-                    if message[0] == "pong" and message[1] == nonce:
-                        ok = True
-                        break
-                    if message[0] == "events":
-                        shard.pending[message[1]] = tuple(message[2:])
-            except (EOFError, OSError, ValueError, BrokenPipeError):
-                ok = False
-            if not ok:
-                self._fail_shard(
-                    shard, "heartbeat" if shard.process is None
-                    or shard.process.is_alive() else "died"
-                )
+            if shard.alive:
+                self._hb_nonce += 1
+                ping = ("ping", self._hb_nonce)
+                ok = self._ask(shard, ping, "pong") is not None
+                if not ok:
+                    self._fail_shard(
+                        shard, "died" if self._exited(shard) else "heartbeat"
+                    )
             status[shard.index] = ok
         return status
 
     def inject_fault(self, shard_index: int, mode: str = "die") -> None:
-        """Fault-injection hook for chaos tests (process backend only).
+        """Fault-injection hook for chaos tests.
 
         * ``"die"`` — the worker hard-exits before its next reply;
         * ``"kill"`` — SIGKILL from outside, no cooperation at all;
@@ -1419,19 +1108,19 @@ class ShardedScanner:
           tolerated, not healed).
 
         Without a :class:`RestartPolicy` the next :meth:`feed`/
-        :meth:`reset` degrades the faulted shard; with one it heals.
+        :meth:`reset` degrades the faulted shard; with one it heals.  A
+        no-op on an in-process shard (the ``inline`` backend, or a shard
+        the parent took over): it has no worker to fault.
         """
         modes = ("die", "kill", "hang", "stop", "corrupt", "slow")
         if mode not in modes:
             raise ValueError(f"mode must be one of {modes}, got {mode!r}")
         self.start()
-        if self.backend != "process":
-            raise RuntimeError("fault injection needs the process backend")
         shard = self._shards[shard_index]
-        if not shard.alive:
+        if not shard.alive or shard.process is None:
             return
         if mode in ("stop", "kill"):
-            if shard.process is not None and shard.process.is_alive():
+            if shard.process.is_alive():
                 os.kill(
                     shard.process.pid,
                     signal.SIGSTOP if mode == "stop" else signal.SIGKILL,
@@ -1447,11 +1136,37 @@ class ShardedScanner:
 
     # -- scanning ------------------------------------------------------
 
-    def _send(self, shard: _Shard, message) -> None:
+    def _send(self, shard: _Shard, message) -> bool:
         try:
             shard.conn.send(message)
         except (OSError, ValueError, BrokenPipeError):
             self._fail_shard(shard, "send_failed")
+            return False
+        return True
+
+    def _ask(self, shard: _Shard, message, *tags) -> Optional[Tuple[Any, ...]]:
+        """Send one command and wait for its reply, tagged one of
+        ``tags`` (a ping's must echo its nonce).  Chunk replies arriving
+        meanwhile are kept in ``pending``; stale and junk frames are
+        skipped.  None when the pipe broke or the deadline passed."""
+        try:
+            shard.conn.send(message)
+            deadline = time.monotonic() + self.recv_timeout_s
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                if not shard.conn.poll(min(remaining, 0.25)):
+                    continue
+                reply = shard.conn.recv()
+                if reply[0] in tags and (
+                    message[0] != "ping" or reply[1] == message[1]
+                ):
+                    return reply
+                if reply[0] == "events":
+                    shard.pending[reply[1]] = tuple(reply[2:])
+        except (EOFError, OSError, ValueError, BrokenPipeError):
+            return None
 
     def _recv_reply(self, shard: _Shard, seq: int):
         """One shard's reply for chunk ``seq``.
@@ -1488,21 +1203,18 @@ class ShardedScanner:
         chunk offset, in the fused engine's ``(end, pattern_id)`` order.
 
         Supervised shards that failed this chunk are healed (restart →
-        failover → degrade) right here, so the merge already contains
-        their deduplicated replay events."""
-        stream_base = self._stream_pos + base
+        takeover) right here, so the merge already contains their
+        replayed events."""
         gathered: List[Tuple[int, int]] = []
         failed: List[_Shard] = []
         for shard in self._shards:
             reply = self._recv_reply(shard, seq)
-            if reply is None:
-                continue
             if reply is _FAILED:
                 failed.append(shard)
-                continue
-            self._absorb_reply(shard, seq, stream_base, reply, gathered)
+            elif reply is not None:
+                self._absorb(shard, seq, reply, gathered)
         for shard in failed:
-            gathered.extend(self._heal(shard, seq, stream_base))
+            self._heal(shard, seq, gathered)
         if self._supervised:
             self._prune_tail()
         gathered.sort(key=lambda event: (event[1], event[0]))
@@ -1523,48 +1235,26 @@ class ShardedScanner:
         wall_started = time.perf_counter()
         busy_before = [s.busy_s for s in self._shards]
         out: List[Tuple[int, int]] = []
-        if self.backend == "inline":
-            for base in range(0, len(data), self.chunk_bytes):
-                chunk = data[base : base + self.chunk_bytes]
-                gathered: List[Tuple[int, int]] = []
-                for shard in self._shards:
-                    if not shard.alive:
-                        continue
-                    events, busy_s, stats = shard.inline.feed(chunk)
-                    shard.events_total += len(events)
-                    shard.busy_s += busy_s
-                    shard.worker_stats = stats
-                    gathered.extend(events)
-                gathered.sort(key=lambda event: (event[1], event[0]))
-                out.extend((pid, base + end) for pid, end in gathered)
-        else:
-            inflight: deque = deque()
-            for base in range(0, len(data), self.chunk_bytes):
-                chunk = data[base : base + self.chunk_bytes]
-                seq = self._seq
-                want_ckpt = False
-                if self._supervised:
-                    # Buffer the tail chunk *before* broadcasting, so a
-                    # send-time failure can already replay it.
-                    self._tail[seq] = (self._stream_pos + base, chunk)
-                    want_ckpt = (
-                        (seq + 1) % self.restart_policy.checkpoint_chunks
-                        == 0
-                    )
-                for shard in self._shards:
-                    # A faulted shard gets its missed chunks replayed
-                    # from the buffered tail when the collector heals it.
-                    if shard.alive and shard.fault is None:
-                        self._send(shard, ("feed", seq, chunk, want_ckpt))
-                inflight.append((seq, base))
-                self._seq += 1
-                if len(inflight) >= MAX_INFLIGHT_CHUNKS:
-                    done_seq, done_base = inflight.popleft()
-                    out.extend(self._collect(done_seq, done_base))
-            while inflight:
-                done_seq, done_base = inflight.popleft()
-                out.extend(self._collect(done_seq, done_base))
-        self._stream_pos += len(data)
+        inflight: deque = deque()
+        for base in range(0, len(data), self.chunk_bytes):
+            chunk = data[base : base + self.chunk_bytes]
+            seq = self._seq
+            if self._supervised:
+                # Buffer the tail chunk *before* broadcasting, so a
+                # send-time failure can already replay it.
+                self._tail[seq] = chunk
+            message = ("feed", seq, chunk, self._want_ckpt(seq))
+            for shard in self._shards:
+                # A faulted shard gets its missed chunks replayed from
+                # the buffered tail when the collector heals it.
+                if shard.alive and shard.fault is None:
+                    self._send(shard, message)
+            inflight.append((seq, base))
+            self._seq += 1
+            if len(inflight) >= MAX_INFLIGHT_CHUNKS:
+                out.extend(self._collect(*inflight.popleft()))
+        while inflight:
+            out.extend(self._collect(*inflight.popleft()))
         self._record_metrics(data, out, wall_started, busy_before)
         return out
 
@@ -1576,59 +1266,26 @@ class ShardedScanner:
         :meth:`repro.matching.fused.FusedMatcher.finish` convention —
         ``(pattern_id, -1)``, the stream's final byte.  Non-mutating and
         only valid between feeds (no chunks in flight).  A supervised
-        shard found faulted here is healed first (its checkpoint + tail
-        replay restore the end-of-stream activation); a shard that then
-        cannot answer degrades — finalisation itself has no chunk to
-        replay.
+        shard that is faulted or fails to answer is healed (its
+        checkpoint + tail replay restore the end-of-stream activation)
+        and asked again; an unsupervised one degrades.
         """
         self.start()
         if self._closed:
             raise RuntimeError("ShardedScanner is closed")
         out: List[Tuple[int, int]] = []
-        if self.backend == "inline":
-            for shard in self._shards:
-                if shard.alive:
-                    out.extend(shard.inline.finish())
-            out.sort()
-            return out
-        waiting: List[_Shard] = []
         for shard in self._shards:
-            if not shard.alive:
-                continue
-            if shard.fault is not None:
-                if self._supervised and self._seq > 0:
-                    # Healing replays through the last broadcast chunk;
-                    # its events were already emitted, so the watermark
-                    # dedup returns nothing new here.
-                    self._heal(shard, self._seq - 1, self._stream_pos)
-                else:
-                    self._degrade(shard, shard.fault)
-                if not shard.alive:
-                    continue
-            try:
-                shard.conn.send(("finish",))
-            except (OSError, ValueError, BrokenPipeError):
-                self._degrade(shard, "finish_failed")
-                continue
-            waiting.append(shard)
-        for shard in waiting:
-            deadline = time.monotonic() + self.recv_timeout_s
-            answered = False
-            try:
-                while time.monotonic() < deadline:
-                    remaining = deadline - time.monotonic()
-                    if not shard.conn.poll(max(min(remaining, 0.25), 0.0)):
-                        continue
-                    message = shard.conn.recv()
-                    if message[0] == "finished":
-                        out.extend(message[1])
-                        answered = True
-                        break
-                    # skip stale events/junk frames
-            except (EOFError, OSError):
-                pass
-            if not answered:
-                self._degrade(shard, "finish_failed")
+            while shard.alive:
+                reply = None
+                if shard.fault is None:
+                    reply = self._ask(shard, ("finish",), "finished")
+                if reply is not None:
+                    out.extend(reply[1])
+                    break
+                if self._fail_shard(shard, "finish_failed") is _FAILED:
+                    # Healing replays through the last broadcast chunk,
+                    # which the shard already emitted: nothing new.
+                    self._heal(shard, self._seq - 1, [])
         out.sort()
         return out
 
@@ -1673,77 +1330,45 @@ class ShardedScanner:
                     ).inc(delta)
                 shard.published_stats[key] = total
 
-    def _relaunch_fresh(self, shard: _Shard) -> None:
-        """Replace a shard's worker with a brand-new one at the empty
-        activation — how a supervised reset handles a faulted worker.
-        Spends nothing from the restart budget: there is no tail to
-        replay, the empty activation *is* the target state."""
-        shard.fault = None
-        self._teardown_worker(shard)
-        self._start_shard(shard)
-
     def reset(self) -> None:
-        """Rewind every live shard to the empty activation."""
+        """Rewind every live shard to the empty activation.
+
+        A supervised shard that is faulted or fails to acknowledge gets
+        a brand-new backend instead; that spends nothing from the
+        restart budget, since the empty activation *is* the target
+        state and there is no tail to replay.
+        """
         if self._closed or not self._started:
             return  # fresh scanners are already at the empty activation
-        if self._supervised:
-            self._tail.clear()
-            self._seq = 0
-            self._stream_pos = 0
-        if self.backend == "inline":
-            for shard in self._shards:
-                if shard.alive:
-                    shard.inline.reset()
-            return
-        waiting = []
+        self._tail.clear()
+        self._seq = 0
         for shard in self._shards:
             if not shard.alive:
                 continue
             shard.pending.clear()
-            if self._supervised:
-                shard.watermark = None
-                shard.wm_overrides = {}
-                shard.ckpt = self._floor_checkpoint(shard)
-                shard.prev_ckpt = None
-                if shard.fault is not None:
-                    self._relaunch_fresh(shard)
-                    continue
-            self._send(shard, ("reset",))
-            if shard.fault is not None:  # supervised send failure
-                self._relaunch_fresh(shard)
+            shard.emitted = -1
+            shard.ckpt = self._floor_checkpoint(shard)
+            if shard.fault is None and self._ask(
+                shard, ("restore", None), "ok"
+            ) is not None:
                 continue
-            if shard.alive:
-                waiting.append(shard)
-        for shard in waiting:
-            deadline = time.monotonic() + self.recv_timeout_s
-            acked = False
-            try:
-                while time.monotonic() < deadline:
-                    remaining = deadline - time.monotonic()
-                    if not shard.conn.poll(max(min(remaining, 0.25), 0.0)):
-                        continue
-                    message = shard.conn.recv()
-                    if message[0] == "ok":
-                        acked = True
-                        break
-                    # skip stale events/junk frames from before the reset
-            except (EOFError, OSError):
-                pass
-            if acked:
-                continue
-            reason = (
-                "died"
-                if shard.process is not None and not shard.process.is_alive()
-                else "timeout"
-            )
+            reason = "died" if self._exited(shard) else "timeout"
             if self._fail_shard(shard, reason) is _FAILED:
-                self._relaunch_fresh(shard)
+                shard.fault = None
+                self._teardown_worker(shard)
+                self._start_shard(shard)
 
     def scan(self, data: bytes) -> List[Tuple[int, int]]:
-        """Fresh-state :meth:`feed`."""
-        self.start()
+        """Fresh-state :meth:`feed` plus end-of-input finalisation, as
+        :meth:`repro.matching.fused.FusedMatcher.scan` does: ``$``
+        candidates report at the last byte, and the stream comes out in
+        ``(end, pattern_id)`` order."""
         self.reset()
-        return self.feed(data)
+        out = self.feed(data)
+        last = len(data) - 1
+        out.extend((pattern_id, last) for pattern_id, _end in self.finish())
+        out.sort(key=lambda event: (event[1], event[0]))
+        return out
 
     # -- introspection -------------------------------------------------
 
@@ -1774,7 +1399,6 @@ class ShardedScanner:
             "failovers": [
                 {
                     "shard": f.shard,
-                    "to_shard": f.to_shard,
                     "pattern_ids": list(f.pattern_ids),
                     "reason": f.reason,
                 }

@@ -52,12 +52,13 @@ class RestartPolicy:
     Attached to :class:`Budget` (``Budget(restart=RestartPolicy())``)
     and threaded through ``CompilerOptions`` to
     :class:`repro.matching.sharded.ShardedScanner`, which turns the
-    degrade-only failure handling into a restart → failover → degrade
-    state machine:
+    degrade-only failure handling into a restart → takeover state
+    machine:
 
     * ``max_restarts`` — bounded retry: how many times one shard's
-      worker may be restarted before its patterns fail over onto the
-      surviving shards;
+      worker may be restarted before the parent takes the shard over,
+      running it in-process from the same checkpoint and tail replay
+      (``0`` goes straight to the takeover);
     * ``backoff_base_s`` / ``backoff_cap_s`` — exponential backoff
       between restart attempts (``base * 2**(attempt-1)``, capped);
     * ``jitter`` — symmetric fractional jitter on each backoff delay,

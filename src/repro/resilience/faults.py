@@ -352,6 +352,7 @@ class ChaosReport:
     #: merged stream is byte-identical to the fault-free run.
     first_divergence: Optional[int] = None
     restarts: int = 0
+    #: Shards the parent took over once their restart budget ran out.
     failovers: int = 0
     degraded: int = 0
     replayed_bytes: int = 0

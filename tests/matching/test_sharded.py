@@ -31,6 +31,8 @@ from repro.workloads import (
     generate_pattern,
 )
 
+from .test_anchored_corpus import CORPUS as ANCHORED_CORPUS
+from .test_anchored_corpus import OPTIONS as ANCHORED_OPTIONS
 from .test_golden_corpus import CORPUS
 from .test_golden_corpus import OPTIONS as GOLDEN_OPTIONS
 
@@ -114,15 +116,27 @@ class TestPlanner:
 class TestFusedParity:
     def test_golden_corpus_byte_identical(self):
         """Full golden corpus as ONE pattern set over the concatenated
-        inputs: sharded == fused, match for match, in order."""
-        patterns = [pattern for pattern, _data in CORPUS]
-        data = b" ".join(data for _pattern, data in CORPUS)
-        fused = PatternSet(patterns, options=GOLDEN_OPTIONS, engine="fused")
-        expected = [(m.pattern_id, m.end) for m in fused.scan(data)]
-        assert expected, "corpus produced no matches; parity check is vacuous"
-        for num_shards in (2, 3):
-            with ShardedScanner(fused.compiled, num_shards=num_shards) as scanner:
-                assert scanner.scan(data) == expected, num_shards
+        inputs: sharded == fused, match for match, in order.  The
+        anchored corpus is one more input: its ``$`` matches at the
+        final byte must come out of ``scan`` on both backends."""
+        for corpus, options in (
+            (CORPUS, GOLDEN_OPTIONS),
+            (ANCHORED_CORPUS, ANCHORED_OPTIONS),
+        ):
+            patterns = [pattern for pattern, _data in corpus]
+            data = b" ".join(data for _pattern, data in corpus)
+            fused = PatternSet(patterns, options=options, engine="fused")
+            expected = [(m.pattern_id, m.end) for m in fused.scan(data)]
+            assert expected, "corpus produced no matches; parity check is vacuous"
+            for num_shards in (2, 3):
+                for backend in ("process", "inline"):
+                    with ShardedScanner(
+                        fused.compiled, num_shards=num_shards, backend=backend
+                    ) as scanner:
+                        assert scanner.scan(data) == expected, (
+                            num_shards,
+                            backend,
+                        )
 
     def test_differential_fuzz_200_seeded_cases(self):
         """Profile-shaped rule sets × seeded streams: 40 pattern sets ×
@@ -309,6 +323,23 @@ class TestShardFailure:
         survivors = [c for c in compiled if c.regex_id not in dead_ids]
         with ShardedScanner(survivors, num_shards=1) as reference:
             assert degraded == reference.scan(data)
+
+    def test_in_process_crash_degrades_instead_of_raising(self):
+        """An in-process shard that raises is dead like a worker whose
+        pipe hit EOF: it degrades, and the scan goes on without it."""
+        compiled = compile_all(["ax", "bx"])
+        with ShardedScanner(
+            compiled, num_shards=2, backend="inline"
+        ) as scanner:
+
+            def poisoned(data):
+                raise RuntimeError("poisoned automaton")
+
+            scanner._shards[0].conn.matcher.feed = poisoned
+            out = scanner.feed(b"ax bx")
+            assert [f.reason for f in scanner.failures] == ["died"]
+            dead_ids = set(scanner.failures[0].pattern_ids)
+            assert out and {pid for pid, _ in out} == {0, 1} - dead_ids
 
     def test_stats_report_failures(self):
         compiled = compile_all(["ax", "bx"])

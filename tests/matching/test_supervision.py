@@ -2,11 +2,11 @@
 
 The guarantee under test is the strongest one the supervision layer
 makes: a scan that loses workers mid-stream — killed, hung, or crash-
-looped into permanent failover — produces a merged match stream
+looped past its restart budget — produces a merged match stream
 **byte-identical** to an uninterrupted run.  The mechanisms behind it
-(checkpoint snapshots, watermark-deduplicated tail replay, re-fusing a
-dead shard's patterns onto a survivor) are each pinned here, plus the
-bookkeeping: monotone per-shard counter deltas across restarts and
+(checkpoint snapshots, tail replay deduplicated by chunk, the parent
+taking an exhausted shard over in-process) are each pinned here, plus
+the bookkeeping: monotone per-shard counter deltas across restarts and
 restart/failover records for every recovery.
 """
 
@@ -225,14 +225,14 @@ class TestWatchdog:
 
 
 # ---------------------------------------------------------------------------
-# Failover: exhausted restart budget re-fuses onto survivors
+# Failover: an exhausted restart budget hands the shard to the parent
 # ---------------------------------------------------------------------------
 
 
 class TestFailover:
     def test_failover_refuses_patterns_onto_survivor(self):
-        """With a zero restart budget a killed shard's patterns migrate
-        to a surviving worker; no pattern is lost and no shard degrades."""
+        """With a zero restart budget the parent takes a killed shard
+        over in-process; no pattern is lost and no shard degrades."""
         compiled = compile_all(PATTERNS)
         data = make_data(5)
         golden = fused_stream(compiled, data, 128)
@@ -250,7 +250,6 @@ class TestFailover:
         assert not outcome["failures"]
         failover = outcome["failovers"][0]
         assert failover.shard == 0
-        assert failover.to_shard != 0
         assert failover.pattern_ids
 
     def test_failover_parity_on_golden_corpus(self):
@@ -296,6 +295,116 @@ class TestFailover:
         assert len(outcome["restarts"]) == POLICY.max_restarts
         assert len(outcome["failovers"]) == 1
         assert not outcome["failures"]
+
+
+# ---------------------------------------------------------------------------
+# Takeover: no surviving worker needed, replay deduplicated by chunk
+# ---------------------------------------------------------------------------
+
+NO_RESTARTS = RestartPolicy(
+    max_restarts=0,
+    backoff_base_s=0.01,
+    backoff_cap_s=0.02,
+    checkpoint_chunks=2,
+)
+
+
+class TestTakeover:
+    """The parent runs an exhausted shard itself, from the same
+    checkpoint through the same tail replay, so recovery needs no
+    surviving worker and loses no event."""
+
+    @pytest.mark.parametrize(
+        "faults,num_shards",
+        [
+            ([(6, 0, "kill"), (6, 1, "kill")], 2),
+            ([(3, 0, "kill"), (9, 1, "kill")], 2),
+            ([(5, 0, "kill")], 1),
+        ],
+        ids=["both-at-one-chunk", "both-at-two-chunks", "only-shard"],
+    )
+    def test_every_worker_killed_without_restarts(self, faults, num_shards):
+        compiled = compile_all(PATTERNS)
+        data = make_data(12)
+        golden = fused_stream(compiled, data, 128)
+        observed, outcome = supervised_stream(
+            compiled,
+            data,
+            128,
+            faults=faults,
+            policy=NO_RESTARTS,
+            num_shards=num_shards,
+        )
+        assert observed == golden
+        assert outcome["failures"] == []
+        assert [f.shard for f in outcome["failovers"]] == [
+            shard for _chunk, shard, _mode in faults
+        ]
+
+    def test_word_boundary_seam_event_survives_replay(self):
+        """``x\\b`` confirms on the byte after the seam and reports at
+        the previous chunk's last byte, after ``x`` already reported
+        there: a replay must still emit it."""
+        compiled = compile_all([r"x\b", "x"])
+        data = b"aaax bbbccccdddd"
+        golden = fused_stream(compiled, data, 4)
+        assert golden == [(1, 3), (0, 3)]
+        policy = RestartPolicy(
+            max_restarts=2,
+            backoff_base_s=0.01,
+            backoff_cap_s=0.02,
+            checkpoint_chunks=1,
+        )
+        observed, outcome = supervised_stream(
+            compiled,
+            data,
+            4,
+            faults=[(1, 0, "kill")],
+            policy=policy,
+            num_shards=1,
+        )
+        assert observed == golden
+        assert outcome["failures"] == []
+
+    def test_finish_heals_worker_killed_after_last_feed(self):
+        """A worker that dies between the last feed and ``finish`` is
+        healed, not degraded: its ``$`` candidate still reports."""
+        compiled = compile_all(["ab{2,4}c", "end$", "bc"])
+        data = make_data(14, size=1024) + b" the end"
+        matcher = FusedMatcher(fuse_patterns(compiled))
+        golden = fused_stream(compiled, data, 128)
+        matcher.feed(data)
+        golden.extend((slot, len(data) - 1) for slot, _ in matcher.finish())
+        assert (1, len(data) - 1) in golden
+        with ShardedScanner(
+            compiled,
+            num_shards=2,
+            chunk_bytes=128,
+            recv_timeout_s=5.0,
+            restart_policy=POLICY,
+            seed=0,
+        ) as scanner:
+            events = []
+            for base in range(0, len(data), 128):
+                events.extend(
+                    (pid, base + end)
+                    for pid, end in scanner.feed(data[base : base + 128])
+                )
+            victim = next(
+                index
+                for index, slots in enumerate(scanner.plan.shards)
+                if 1 in slots
+            )
+            os.kill(scanner._shards[victim].process.pid, signal.SIGKILL)
+            scanner._shards[victim].process.join(2.0)
+            events.extend(
+                (pid, len(data) - 1) for pid, _end in scanner.finish()
+            )
+            failures = list(scanner.failures)
+            restarts = list(scanner.restarts)
+        assert events == golden
+        assert failures == []
+        assert [r.shard for r in restarts] == [victim]
 
 
 # ---------------------------------------------------------------------------
