@@ -642,12 +642,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="budget: widest virtual bit vector per pattern")
         p.add_argument("--max-cache-bytes", type=int, default=None,
                        dest="max_cache_bytes",
-                       help="budget: fused-engine lazy-DFA cache bytes "
-                            "(also caps the dense transition table)")
+                       help="budget: fused-engine bitset-tier lazy-DFA "
+                            "cache bytes (also caps each dense "
+                            "transition table)")
         p.add_argument("--table-states", type=int, default=None,
                        dest="table_states",
                        help="budget: dense-table states for the fused "
-                            "engine (0 disables the table tier; default "
+                            "engine; a full table is flushed and refilled "
+                            "(0 disables the table tier; default "
                             f"{DEFAULT_TABLE_STATES})")
         p.add_argument("--deadline", type=float, default=None,
                        dest="deadline",

@@ -105,7 +105,10 @@ class DegradationPolicy:
 
     * *cache thrash* — the successor cache is full
       (:meth:`~repro.matching.fused.FusedMatcher.cache_full`) and the
-      hit rate over the last window dropped below ``min_hit_rate``;
+      hit rate over the last window dropped below ``min_hit_rate``.
+      The cache is the bitset tier's LRU, which serves bytes only once
+      the dense table is off or abandoned (and per-byte steps): table
+      fills bypass it, and a full table flushes instead of thrashing;
     * *wide activation* — the combined active mask covers more than
       ``max_active_fraction`` of a fused space of at least
       ``min_states_for_width`` states, so every step pays near-worst-case
@@ -230,6 +233,7 @@ class PatternSet:
                 backend=shard_backend,
                 cache_bytes=cache_bytes,
                 table_states=self._table_states(),
+                table_bytes=self.budget.max_cache_bytes,
                 prefilter=self._prefilter,
                 restart_policy=self.budget.restart,
             )

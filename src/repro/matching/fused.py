@@ -33,12 +33,17 @@ first, all producing byte-identical match streams:
    dense state ids and stepped through flat ``array``-backed rows keyed
    by byte-equivalence classes (two bytes are equivalent iff they select
    the same fused match mask), with a precomputed fired-pattern tuple
-   per row.  The table is filled lazily and bounded by a state-count and
-   byte budget (:class:`repro.resilience.budget.Budget`); blowing the
-   budget falls back permanently to tier 3 mid-scan.
-3. **Bitset stepping with a lazy-DFA cache** — the original big-int
-   closure step memoised as ``(active_mask, byte) -> (next_mask, fired
-   pattern ids)`` in a bounded LRU.
+   per state.  Missing entries are filled lazily by the uncached bitset
+   step.  The table is bounded by a state-count and byte budget
+   (:class:`repro.resilience.budget.Budget`): a full table is emptied
+   in place and refilled from the current mask, as RE2 resets its DFA
+   cache, and is abandoned for tier 3 only when the interval since the
+   previous flush scanned fewer than :data:`MIN_BYTES_PER_FILL` bytes
+   per fill.
+3. **Bitset stepping with a lazy-DFA cache** — the big-int closure step
+   memoised as ``(active_mask, byte) -> (next_mask, fired pattern ids)``
+   in a bounded LRU.  It serves scans with the table off
+   (``table_states=0``) or abandoned, and per-byte :meth:`step` calls.
 
 Soundness of the prefilter rests on a monotone-arming argument: arming
 start states at a *superset* of the true match-start positions never
@@ -65,9 +70,9 @@ from ..compiler.prefilter import PatternLiterals
 from ..telemetry import flight
 from ..telemetry.profiler import byte_class_ids
 
-#: Default bound on the lazy-DFA successor cache.  Entries are a handful
-#: of Python ints each; 1<<15 keeps even adversarial streams far below
-#: the footprint of the automata themselves.
+#: Default bound on the bitset tier's lazy-DFA successor cache.  Entries
+#: are a handful of Python ints each; 1<<15 keeps even adversarial
+#: streams far below the footprint of the automata themselves.
 DEFAULT_CACHE_SIZE = 1 << 15
 
 #: Default byte budget for the successor cache.  Entry cost is estimated
@@ -77,14 +82,23 @@ DEFAULT_CACHE_SIZE = 1 << 15
 DEFAULT_CACHE_BYTES = 16 << 20
 
 #: Default bound on interned dense-DFA states for the table tier; 0
-#: disables the table.  Reachable activation-mask counts on real rule
-#: sets are small (the lazy-DFA cache already proved this), so 4096
-#: states is generous while a pathological set blows it quickly and
-#: falls back.
+#: disables the table.  A stream's working set of activation masks is
+#: far smaller than the states it visits overall, so a full table is
+#: flushed and refilled rather than abandoned.
 DEFAULT_TABLE_STATES = 4096
 
 #: Default byte budget for the dense table (rows + interned masks).
 DEFAULT_TABLE_BYTES = 8 << 20
+
+#: A full table is abandoned for the bitset tier when the interval since
+#: the previous flush scanned fewer bytes than this per table fill.  Not
+#: a knob: RegexLib-64 streams measure 34-142 bytes per fill, far above
+#: it, while sets that mint a new mask every few bytes (RegexLib-16 with
+#: 50% planted matches, about 5.5; sliding gaps such as ``a.{6}b``,
+#: about 1) fall under it.  The table breaks even with the bitset tier
+#: nearer 2 bytes per fill (docs/matching.md), so the bar errs toward
+#: the bitset tier.
+MIN_BYTES_PER_FILL = 10
 
 #: Estimated fixed overhead per cache entry (dict slot, key/value tuples,
 #: int headers) in bytes, on top of the mask payloads.
@@ -527,7 +541,7 @@ class FusedMatcher:
         self._cache_bytes = 0
         #: ``(active_mask, symbol) -> (next_mask, fired, fired_adjust)``
         #: pattern-id tuples; reduced-injection entries share the dict
-        #: under ``symbol + 256``.
+        #: under ``symbol | 256``.
         self._cache: "OrderedDict[Tuple[int, int], Tuple[int, Tuple[int, ...], Tuple[int, ...]]]"
         self._cache = OrderedDict()
         self.cache_hits = 0
@@ -540,6 +554,9 @@ class FusedMatcher:
             if self._plan is not None
             else self._initial_mask
         ) & ~self._boi_mask
+        #: Start-state injection per memo key: full, then reduced
+        #: (``symbol | 256``, the prefilter's unarmed spans).
+        self._injections = (self._inject_initial, self._open_initial)
         self.prefilter_skipped = 0
         self.prefilter_armed = 0
         # -- table tier ----------------------------------------------------
@@ -549,13 +566,24 @@ class FusedMatcher:
         self.table_hits = 0
         self.table_misses = 0
         self.table_promotes = 0
+        self.table_flushes = 0
         self.table_fallbacks = 0
         self.table_steps = 0
         self.bitset_steps = 0
         self.table_seconds = 0.0
         self.bitset_seconds = 0.0
+        #: ``table_steps`` and ``table_misses`` at the previous flush.
+        self._flush_steps = 0
+        self._flush_misses = 0
+        self._table_live = table_states > 0
+        self._num_classes = 0
+        self._state_ids: Dict[int, int] = {}
+        self._state_masks: List[int] = []
+        #: Per state: ``(slot, back)`` reports, ending ``back`` bytes early.
+        self._state_emits: List[Tuple[Tuple[int, int], ...]] = []
+        self._tab_full = array("i")
         self._tab_open: Optional[array] = None
-        if table_states > 0:
+        if self._table_live:
             class_of_byte, num_classes = byte_class_ids(self._match_masks)
             self._class_table = bytes(class_of_byte)
             self._num_classes = num_classes
@@ -564,22 +592,9 @@ class FusedMatcher:
                 reps[class_of_byte[byte]] = byte
             self._class_rep = reps
             self._blank_row = array("i", [-1]) * num_classes
-            self._table_live = True
-            self._state_ids: Dict[int, int] = {}
-            self._state_masks: List[int] = []
-            self._state_fired: List[Tuple[int, ...]] = []
-            self._state_fired_adj: List[Tuple[int, ...]] = []
-            self._tab_full = array("i")
             if self._plan is not None:
                 self._tab_open = array("i")
-        else:
-            self._num_classes = 0
-            self._table_live = False
-            self._state_ids = {}
-            self._state_masks = []
-            self._state_fired = []
-            self._state_fired_adj = []
-            self._tab_full = array("i")
+            self._intern(0)
         self.reset()
 
     def reset(self) -> None:
@@ -642,9 +657,33 @@ class FusedMatcher:
 
     # -- one combined transition -------------------------------------
 
+    def _step(self, active: int, symbol: int, inject: int) -> int:
+        """The raw bitset step: OR the successor masks of every active
+        state onto ``inject`` (the start states armed at this byte), then
+        keep the states whose class accepts ``symbol``.  Uncached."""
+        succ = self._succ_masks
+        while active:
+            low = active & -active
+            inject |= succ[low.bit_length() - 1]
+            active ^= low
+        return inject & self._match_masks[symbol]
+
+    def _reports(self, mask: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Pattern ids of the final and ``\\b`` confirm states in ``mask``."""
+        fired = mask & self._final_mask
+        fired_adj = mask & self._adjust_mask
+        return (
+            self._report_ids(fired) if fired else (),
+            self._report_ids(fired_adj) if fired_adj else (),
+        )
+
     def _advance(
         self, active: int, symbol: int
     ) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """The bitset tier's memoised step: :meth:`_step` behind the LRU.
+        ``symbol | 256`` selects the reduced injection of the prefilter's
+        unarmed spans, where only the always-on patterns' start states
+        re-arm."""
         cache = self._cache
         key = (active, symbol)
         hit = cache.get(key)
@@ -653,64 +692,13 @@ class FusedMatcher:
             cache.move_to_end(key)
             return hit
         self.cache_misses += 1
-        available = self._inject_initial
-        succ = self._succ_masks
-        remaining = active
-        while remaining:
-            low = remaining & -remaining
-            available |= succ[low.bit_length() - 1]
-            remaining ^= low
-        next_mask = available & self._match_masks[symbol]
-        fired = next_mask & self._final_mask
-        report = self._report_ids(fired) if fired else ()
-        fired_adj = next_mask & self._adjust_mask
-        report_adj = self._report_ids(fired_adj) if fired_adj else ()
-        entry = (next_mask, report, report_adj)
-        cache[key] = entry
-        self._cache_bytes += entry_bytes(
-            active, next_mask, len(report) + len(report_adj)
+        next_mask = self._step(
+            active, symbol & 255, self._injections[symbol >> 8]
         )
-        while (
-            len(cache) > self._cache_size
-            or self._cache_bytes > self._cache_byte_limit
-        ) and cache:
-            old_key, old_entry = cache.popitem(last=False)
-            self._cache_bytes -= entry_bytes(
-                old_key[0], old_entry[0], len(old_entry[1]) + len(old_entry[2])
-            )
-        return entry
-
-    def _advance_open(
-        self, active: int, symbol: int
-    ) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-        """One transition with *reduced* start-state injection: only the
-        always-on patterns' start states are re-armed (the prefilter arms
-        gated patterns explicitly around literal occurrences).  Shares
-        the LRU cache with :meth:`_advance` under shifted symbol keys."""
-        cache = self._cache
-        key = (active, symbol + 256)
-        hit = cache.get(key)
-        if hit is not None:
-            self.cache_hits += 1
-            cache.move_to_end(key)
-            return hit
-        self.cache_misses += 1
-        available = self._open_initial
-        succ = self._succ_masks
-        remaining = active
-        while remaining:
-            low = remaining & -remaining
-            available |= succ[low.bit_length() - 1]
-            remaining ^= low
-        next_mask = available & self._match_masks[symbol]
-        fired = next_mask & self._final_mask
-        report = self._report_ids(fired) if fired else ()
-        fired_adj = next_mask & self._adjust_mask
-        report_adj = self._report_ids(fired_adj) if fired_adj else ()
-        entry = (next_mask, report, report_adj)
+        entry = (next_mask, *self._reports(next_mask))
         cache[key] = entry
         self._cache_bytes += entry_bytes(
-            active, next_mask, len(report) + len(report_adj)
+            active, next_mask, len(entry[1]) + len(entry[2])
         )
         while (
             len(cache) > self._cache_size
@@ -733,26 +721,33 @@ class FusedMatcher:
         return tuple(sorted(ids))
 
     # -- dense table tier ---------------------------------------------
+    #
+    # State ``sid`` owns the row ``sid * num_classes`` of ``_tab_full``
+    # and ``_tab_open``.  An entry is -1 until filled, else the row of
+    # the successor, bit-inverted when that successor reports (state 0,
+    # the empty activation, never reports, so ``~row`` never reads -1).
+    # The inner loops then test one sign per byte instead of looking up
+    # the successor's reports.
 
-    def _intern(self, mask: int) -> int:
-        """Dense id of ``mask``, interning it on first sight; -1 when the
-        state-count or byte budget would be exceeded."""
+    def _intern(self, mask: int, served: int = 0) -> int:
+        """Dense id of ``mask``, interning it on first sight.  A full
+        table is flushed first (``served``: the current span's table
+        bytes so far); -1 when it was abandoned instead."""
         sid = self._state_ids.get(mask)
         if sid is not None:
             return sid
         if (
             len(self._state_masks) >= self._table_states
             or self._table_bytes >= self._table_byte_limit
-        ):
+        ) and not self._flush(served):
             return -1
         sid = len(self._state_masks)
         self._state_ids[mask] = sid
         self._state_masks.append(mask)
-        fired = mask & self._final_mask
-        self._state_fired.append(self._report_ids(fired) if fired else ())
-        fired_adj = mask & self._adjust_mask
-        self._state_fired_adj.append(
-            self._report_ids(fired_adj) if fired_adj else ()
+        report, report_adj = self._reports(mask)
+        self._state_emits.append(
+            tuple((slot, 0) for slot in report)
+            + tuple((slot, 1) for slot in report_adj)
         )
         self._tab_full.extend(self._blank_row)
         rows = 1
@@ -767,40 +762,66 @@ class FusedMatcher:
         self.table_promotes += 1
         return sid
 
-    def _fill(self, state: int, cls: int, armed: bool) -> int:
-        """Compute one missing table row entry via the bitset step."""
+    def _fill(self, row: int, cls: int, armed: bool, served: int) -> int:
+        """Compute one missing table entry with the uncached bitset step
+        and return it.  Returns -1 once the table is abandoned, with
+        ``self.active`` set to ``row``'s mask for the bitset tier to
+        resume from."""
         self.table_misses += 1
-        mask = self._state_masks[state]
-        symbol = self._class_rep[cls]
-        if armed:
-            next_mask, _report, _report_adj = self._advance(mask, symbol)
-        else:
-            next_mask, _report, _report_adj = self._advance_open(mask, symbol)
-        nxt = self._intern(next_mask)
-        if nxt >= 0:
-            row = state * self._num_classes + cls
-            if armed:
-                self._tab_full[row] = nxt
-            else:
-                self._tab_open[row] = nxt
-        return nxt
+        nc = self._num_classes
+        mask = self._state_masks[row // nc]
+        flushes = self.table_flushes
+        inject = self._injections[not armed]  # unarmed: reduced injection
+        sid = self._intern(
+            self._step(mask, self._class_rep[cls], inject), served
+        )
+        if sid < 0:
+            self.active = mask
+            return -1
+        entry = ~(sid * nc) if self._state_emits[sid] else sid * nc
+        if self.table_flushes == flushes:  # else ``row`` is gone
+            (self._tab_full if armed else self._tab_open)[row + cls] = entry
+        return entry
+
+    def _flush(self, served: int) -> bool:
+        """Empty the full table in place so scanning continues through
+        it; False, having abandoned the table, when the interval since
+        the previous flush scanned fewer than :data:`MIN_BYTES_PER_FILL`
+        bytes per fill (refilling would cost more than bitset stepping)."""
+        steps = self.table_steps + served
+        fills = self.table_misses - self._flush_misses
+        if steps - self._flush_steps < MIN_BYTES_PER_FILL * fills:
+            self._table_blowup()
+            return False
+        self._flush_steps = steps
+        self._flush_misses = self.table_misses
+        self.table_flushes += 1
+        self._clear_table()
+        self._intern(0)
+        if telemetry.metrics_enabled():
+            telemetry.registry().counter("scan.table.flush").inc()
+        return True
+
+    def _clear_table(self) -> None:
+        """Drop every interned state, keeping the containers the table
+        loop holds references to."""
+        self._state_ids.clear()
+        self._state_masks.clear()
+        self._state_emits.clear()
+        del self._tab_full[:]
+        if self._tab_open is not None:
+            del self._tab_open[:]
+        self._table_bytes = 0
 
     def _table_blowup(self) -> None:
-        """Permanent mid-scan fallback to bitset stepping: the reachable
-        state space outgrew the table budget, so stop paying intern
-        costs, free the table, and record the event."""
+        """Permanent mid-scan fallback to bitset stepping: refilling the
+        table no longer pays, so stop paying intern costs, free the
+        table, and record the event."""
         self.table_fallbacks += 1
         states = len(self._state_masks)
         table_bytes = self._table_bytes
         self._table_live = False
-        self._state_ids = {}
-        self._state_masks = []
-        self._state_fired = []
-        self._state_fired_adj = []
-        self._tab_full = array("i")
-        if self._tab_open is not None:
-            self._tab_open = array("i")
-        self._table_bytes = 0
+        self._clear_table()
         if telemetry.metrics_enabled():
             telemetry.registry().counter("scan.table.fallback").inc()
         if flight.flight_enabled():
@@ -846,12 +867,10 @@ class FusedMatcher:
         state = self._intern(self.active)
         if state < 0:
             self.table_seconds += perf_counter() - t0
-            self._table_blowup()
             return self._run_bitset(data, start, end, armed, out)
         nc = self._num_classes
-        fired_tab = self._state_fired
-        fired_adj_tab = self._state_fired_adj
-        masks = self._state_masks
+        row = state * nc
+        emits = self._state_emits
         miss0 = self.table_misses
         append = out.append
         pos = end
@@ -863,48 +882,40 @@ class FusedMatcher:
         if armed:
             tab = self._tab_full
             for off, cls in enumerate(seg, start):
-                nxt = tab[state * nc + cls]
+                nxt = tab[row + cls]
                 if nxt < 0:
-                    nxt = self._fill(state, cls, True)
+                    if nxt == -1:
+                        nxt = self._fill(row, cls, True, off - start)
+                        if nxt == -1:
+                            return self._abort_span(
+                                data, start, off, end, True, miss0, t0, out
+                            )
                     if nxt < 0:
-                        return self._abort_span(
-                            data, state, start, off, end, True, miss0, t0, out
-                        )
-                    tab = self._tab_full
-                state = nxt
-                fired = fired_tab[state]
-                if fired:
-                    for slot in fired:
-                        append((slot, off))
-                fired_adj = fired_adj_tab[state]
-                if fired_adj:
-                    for slot in fired_adj:
-                        append((slot, off - 1))
+                        nxt = ~nxt
+                        for slot, back in emits[nxt // nc]:
+                            append((slot, off - back))
+                row = nxt
         else:
             tab = self._tab_open
-            can_die = self._plan is not None and self._plan.skippable
+            can_die = self._plan.skippable
             for off, cls in enumerate(seg, start):
-                nxt = tab[state * nc + cls]
+                nxt = tab[row + cls]
                 if nxt < 0:
-                    nxt = self._fill(state, cls, False)
+                    if nxt == -1:
+                        nxt = self._fill(row, cls, False, off - start)
+                        if nxt == -1:
+                            return self._abort_span(
+                                data, start, off, end, False, miss0, t0, out
+                            )
                     if nxt < 0:
-                        return self._abort_span(
-                            data, state, start, off, end, False, miss0, t0, out
-                        )
-                    tab = self._tab_open
-                state = nxt
-                fired = fired_tab[state]
-                if fired:
-                    for slot in fired:
-                        append((slot, off))
-                fired_adj = fired_adj_tab[state]
-                if fired_adj:
-                    for slot in fired_adj:
-                        append((slot, off - 1))
-                if can_die and not masks[state]:
+                        nxt = ~nxt
+                        for slot, back in emits[nxt // nc]:
+                            append((slot, off - back))
+                row = nxt
+                if can_die and not row:  # drained to the empty activation
                     pos = off + 1
                     break
-        self.active = masks[state]
+        self.active = self._state_masks[row // nc]
         served = pos - start
         self.table_steps += served
         self.table_hits += max(0, served - (self.table_misses - miss0))
@@ -914,7 +925,6 @@ class FusedMatcher:
     def _abort_span(
         self,
         data: bytes,
-        state: int,
         start: int,
         off: int,
         end: int,
@@ -923,14 +933,13 @@ class FusedMatcher:
         t0: float,
         out: List[Tuple[int, int]],
     ) -> int:
-        """The table blew its budget mid-span: sync the bitset activation,
-        account the bytes served so far, and finish the span on tier 3."""
-        self.active = self._state_masks[state]
+        """The table was abandoned mid-span (:meth:`_fill` left the
+        activation before byte ``off`` in ``self.active``): account the
+        bytes served so far and finish the span on tier 3."""
         served = off - start
         self.table_steps += served
         self.table_hits += max(0, served - (self.table_misses - miss0))
         self.table_seconds += perf_counter() - t0
-        self._table_blowup()
         return self._run_bitset(data, off, end, armed, out)
 
     def _run_bitset(
@@ -943,32 +952,23 @@ class FusedMatcher:
     ) -> int:
         t0 = perf_counter()
         active = self.active
+        advance = self._advance
         append = out.append
+        tag = 0 if armed else 256
+        can_die = not armed and self._plan.skippable
         pos = end
-        if armed:
-            advance = self._advance
-            for off in range(start, end):
-                active, report, report_adj = advance(active, data[off])
-                if report:
-                    for slot in report:
-                        append((slot, off))
-                if report_adj:
-                    for slot in report_adj:
-                        append((slot, off - 1))
-        else:
-            advance = self._advance_open
-            can_die = self._plan is not None and self._plan.skippable
-            for off in range(start, end):
-                active, report, report_adj = advance(active, data[off])
-                if report:
-                    for slot in report:
-                        append((slot, off))
-                if report_adj:
-                    for slot in report_adj:
-                        append((slot, off - 1))
-                if can_die and not active:
-                    pos = off + 1
-                    break
+        seg = data if start == 0 and end == len(data) else data[start:end]
+        for off, symbol in enumerate(seg, start):
+            active, report, report_adj = advance(active, symbol | tag)
+            if report:
+                for slot in report:
+                    append((slot, off))
+            if report_adj:
+                for slot in report_adj:
+                    append((slot, off - 1))
+            if can_die and not active:
+                pos = off + 1
+                break
         self.active = active
         self.bitset_steps += pos - start
         self.bitset_seconds += perf_counter() - t0
@@ -1011,24 +1011,10 @@ class FusedMatcher:
         if self._plan is not None:
             return self._feed_prefiltered(data)
         out: List[Tuple[int, int]] = []
-        if self._table_live:
-            translated = data.translate(self._class_table)
-            self._run_span(data, translated, 0, len(data), True, out)
-            return out
-        t0 = perf_counter()
-        active = self.active
-        advance = self._advance
-        for offset, symbol in enumerate(data):
-            active, report, report_adj = advance(active, symbol)
-            if report:
-                for pattern_id in report:
-                    out.append((pattern_id, offset))
-            if report_adj:
-                for pattern_id in report_adj:
-                    out.append((pattern_id, offset - 1))
-        self.active = active
-        self.bitset_steps += len(data)
-        self.bitset_seconds += perf_counter() - t0
+        translated = (
+            data.translate(self._class_table) if self._table_live else None
+        )
+        self._run_span(data, translated, 0, len(data), True, out)
         return out
 
     def _step_start(
@@ -1037,24 +1023,11 @@ class FusedMatcher:
         """The one transition consuming stream offset 0: full injection
         including the ``^``-gated start states.  Uncached — it runs at
         most once per stream."""
-        available = self._initial_mask
-        succ = self._succ_masks
-        remaining = self.active
-        while remaining:
-            low = remaining & -remaining
-            available |= succ[low.bit_length() - 1]
-            remaining ^= low
-        next_mask = available & self._match_masks[symbol]
-        self.active = next_mask
+        self.active = self._step(self.active, symbol, self._initial_mask)
         self.bitset_steps += 1
-        fired = next_mask & self._final_mask
-        if fired:
-            for slot in self._report_ids(fired):
-                out.append((slot, 0))
-        fired_adj = next_mask & self._adjust_mask
-        if fired_adj:  # pragma: no cover - needs a nullable confirm core
-            for slot in self._report_ids(fired_adj):
-                out.append((slot, -1))
+        report, report_adj = self._reports(self.active)
+        out.extend((slot, 0) for slot in report)
+        out.extend((slot, -1) for slot in report_adj)
 
     def _feed_gated(self, data: bytes) -> List[Tuple[int, int]]:
         """Anchored feed: byte 0 of the stream gets the full-injection
@@ -1182,7 +1155,9 @@ class FusedMatcher:
         return popcount(self.active)
 
     def cache_info(self) -> Dict[str, int]:
-        """Lazy-DFA cache statistics (telemetry / bench reporting)."""
+        """Statistics of the bitset tier's lazy-DFA cache (telemetry /
+        bench reporting).  Table fills bypass it, so it stays empty while
+        the table serves the scan."""
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
@@ -1196,7 +1171,8 @@ class FusedMatcher:
         """True once either cache bound (entries or bytes) is saturated.
 
         Used by degradation policies: a low hit rate only signals thrash
-        when the cache has actually filled — cold caches miss by design.
+        when the cache has actually filled — cold caches miss by design —
+        and only the bitset tier fills it.
         """
         return (
             len(self._cache) >= self._cache_size
@@ -1214,6 +1190,7 @@ class FusedMatcher:
             "hits": self.table_hits,
             "misses": self.table_misses,
             "promotes": self.table_promotes,
+            "flushes": self.table_flushes,
             "fallbacks": self.table_fallbacks,
             "steps_table": self.table_steps,
             "steps_bitset": self.bitset_steps,

@@ -241,10 +241,11 @@ class _ShardCommands:
       [(pattern_id, end), ...], busy_s, stats, snapshot)`` —
       fused-engine feed over one chunk; end offsets are chunk-relative,
       pattern ids are the *original* set ids.  ``stats`` is the shard's
-      cumulative telemetry snapshot (lazy-DFA cache hits/misses, symbols
-      scanned) — three ints per reply, so shipping it costs nothing
-      measurable, and the parent merges the *deltas* into its registry
-      under a ``shard`` label.  ``snapshot`` is the matcher's
+      cumulative telemetry snapshot (lazy-DFA cache hits/misses, dense
+      table hits/misses/flushes/fallbacks, symbols scanned) — seven ints
+      per reply, so shipping it costs nothing measurable, and the parent
+      merges the *deltas* into its registry under a ``shard`` label.
+      ``snapshot`` is the matcher's
       :meth:`~repro.matching.fused.FusedMatcher.state_snapshot` when the
       parent asked for a checkpoint (``want_ckpt``), else ``None``.
     * ``("restore", snapshot)`` -> ``("ok",)`` — adopt a parent-held
@@ -272,12 +273,14 @@ class _ShardCommands:
         report_ids: Sequence[int],
         cache_bytes: int,
         table_states: int,
+        table_bytes: Optional[int],
         prefilter: bool,
     ) -> None:
         self.matcher = FusedMatcher(
             automaton,
             cache_bytes=cache_bytes,
             table_states=table_states,
+            table_bytes=table_bytes,
             prefilter=prefilter,
         )
         self.ids = list(report_ids)
@@ -299,6 +302,10 @@ class _ShardCommands:
             stats = {
                 "cache_hits": matcher.cache_hits,
                 "cache_misses": matcher.cache_misses,
+                "table_hits": matcher.table_hits,
+                "table_misses": matcher.table_misses,
+                "table_flushes": matcher.table_flushes,
+                "table_fallbacks": matcher.table_fallbacks,
                 "symbols": self.symbols,
             }
             return (
@@ -517,6 +524,9 @@ class ShardedScanner:
         backend: ``"process"`` (default) or ``"inline"``.
         chunk_bytes: broadcast granularity (see module docstring).
         cache_bytes: per-shard lazy-DFA cache budget.
+        table_states: per-shard dense-table state budget (0: no table).
+        table_bytes: per-shard dense-table byte budget; ``None`` is
+            :data:`~repro.matching.fused.DEFAULT_TABLE_BYTES`.
         recv_timeout_s: per-chunk reply deadline before a shard is
             declared hung (the watchdog) and healed or degraded.
         mp_context: a ``multiprocessing`` context; defaults to ``fork``
@@ -542,6 +552,7 @@ class ShardedScanner:
         recv_timeout_s: float = DEFAULT_RECV_TIMEOUT_S,
         mp_context=None,
         table_states: int = DEFAULT_TABLE_STATES,
+        table_bytes: Optional[int] = None,
         prefilter: bool = True,
         restart_policy: Optional[RestartPolicy] = None,
         seed: int = 0,
@@ -564,6 +575,7 @@ class ShardedScanner:
         if table_states < 0:
             raise ValueError("table_states must be >= 0")
         self.table_states = table_states
+        self.table_bytes = table_bytes
         self.prefilter = bool(prefilter)
         self.recv_timeout_s = recv_timeout_s
         self._mp_context = mp_context
@@ -656,6 +668,7 @@ class ShardedScanner:
             shard.pattern_ids,
             self.cache_bytes,
             self.table_states,
+            self.table_bytes,
             self.prefilter,
         )
         if shard.in_process:

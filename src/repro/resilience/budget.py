@@ -14,13 +14,17 @@ Compile-time limits (checked at phase boundaries by
 Run-time limits (checked by the scan engines in
 :mod:`repro.matching.engine` / :mod:`repro.matching.fused`):
 
-* ``max_cache_bytes`` — lazy-DFA successor-cache footprint of the fused
-  engine (estimated bytes, see :func:`repro.matching.fused.entry_bytes`);
-  when set it also caps the fused engine's dense transition table;
+* ``max_cache_bytes`` — footprint of the fused engine's bitset-tier
+  lazy-DFA successor cache (estimated bytes, see
+  :func:`repro.matching.fused.entry_bytes`); when set it also caps the
+  dense transition table, of the fused engine and of every sharded
+  worker;
 * ``max_table_states`` — dense-DFA states the fused engine's
-  table-driven inner loop may intern before falling back to bitset
-  stepping.  ``0`` disables the table entirely (pure bitset stepping);
-  ``None`` uses :data:`repro.matching.fused.DEFAULT_TABLE_STATES`;
+  table-driven inner loop may intern at once.  A full table is flushed
+  and refilled; it falls back to bitset stepping only when refills
+  come every few bytes.  ``0`` disables the table entirely (pure bitset
+  stepping); ``None`` uses
+  :data:`repro.matching.fused.DEFAULT_TABLE_STATES`;
 * ``deadline_s`` — cooperative wall-clock deadline.  The clock starts
   when work starts (:meth:`Budget.start`) and is checked at compile phase
   boundaries and every ``check_bytes`` scanned bytes, so exceeding it

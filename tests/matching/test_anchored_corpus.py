@@ -72,10 +72,28 @@ def test_anchored_corpus_all_engines(pattern, data, engine):
         assert _ends(ps.scan(data)) == expected, (pattern, engine)
 
 
+#: State budget of the flushing tier: the empty activation plus one
+#: more, so nearly every new mask empties and refills the table.
+FLUSH_STATES = 2
+
+
+def _flushing(patterns, prefilter):
+    return PatternSet(
+        patterns,
+        options=OPTIONS,
+        engine="fused",
+        budget=Budget(max_table_states=FLUSH_STATES),
+        prefilter=prefilter,
+    )
+
+
 @pytest.mark.parametrize("pattern,data", CORPUS)
-def test_anchored_corpus_fused_tiers_byte_identical(pattern, data):
-    """Bitset, dense-table, and prefiltered stepping must agree on the
-    gated automata (the tiers share the start-gate/finalisation logic)."""
+def test_anchored_corpus_fused_tiers_byte_identical(
+    pattern, data, always_flush
+):
+    """Bitset, dense-table, prefiltered and flushing-table stepping must
+    agree on the gated automata (the tiers share the start-gate and
+    finalisation logic)."""
     expected = oracle_ends(parse(pattern), data)
     bitset = PatternSet(
         [pattern],
@@ -91,6 +109,11 @@ def test_anchored_corpus_fused_tiers_byte_identical(pattern, data):
     assert _ends(bitset.scan(data)) == expected
     assert _ends(table.scan(data)) == expected
     assert _ends(prefiltered.scan(data)) == expected
+    for prefilter in (False, True):
+        flushing = _flushing([pattern], prefilter)
+        assert _ends(flushing.scan(data)) == expected
+        info = flushing._fused.table_info()
+        assert info["flushes"] >= 1 and info["fallbacks"] == 0
 
 
 @pytest.mark.parametrize("pattern", IMPOSSIBLE)
@@ -128,6 +151,36 @@ def test_anchored_chunked_feed_plus_finish_equals_scan(engine, chunk):
             base += len(piece)
         rebased.extend(ps.finish())
         assert sorted(rebased, key=lambda m: (m.end, m.pattern_id)) == whole
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 3, 7))
+@pytest.mark.parametrize("prefilter", (False, True))
+def test_anchored_flushing_table_chunked_feed(prefilter, chunk, always_flush):
+    """The flushing tier, fed in chunks and finished, reproduces the
+    bitset tier's scan: flushes land on the offset-0 start step, the
+    ``\\b`` confirm seams and the ``$`` candidates alike."""
+    patterns = [pattern for pattern, _ in CORPUS]
+    data = b" ".join(sample for _, sample in CORPUS)
+    expected = PatternSet(
+        patterns,
+        options=OPTIONS,
+        engine="fused",
+        budget=Budget(max_table_states=0),
+        prefilter=False,
+    ).scan(data)
+    ps = _flushing(patterns, prefilter)
+    assert ps.scan(data) == expected
+    ps.reset()
+    rebased = []
+    for start in range(0, len(data), chunk):
+        rebased.extend(
+            Match(match.pattern_id, start + match.end)
+            for match in ps.feed(data[start : start + chunk])
+        )
+    rebased.extend(ps.finish())
+    assert sorted(rebased, key=lambda m: (m.end, m.pattern_id)) == expected
+    info = ps._fused.table_info()
+    assert info["flushes"] >= 1 and info["fallbacks"] == 0
 
 
 @pytest.mark.parametrize("engine", ("fused", "sharded"))

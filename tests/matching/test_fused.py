@@ -11,6 +11,7 @@ from repro.matching import Match, PatternSet, build_fused, fuse_patterns
 from repro.matching.fused import FusedMatcher, fuse_nfas
 from repro.matching.oracle import match_ends as oracle_ends
 from repro.resilience import Budget
+from repro.workloads import PROFILES, dataset_stream, load_dataset, match_rate_stream
 
 OPTIONS = CompilerOptions(bv_size=8, unfold_threshold=2)
 
@@ -155,8 +156,9 @@ class TestFusedMatcher:
     def test_cached_and_uncached_agree(self):
         compiled = compile_all(["ab{2,4}c", "x(yz){2}", "q+r"])
         data = b"abbc xyzyz qqr abbbbc" * 3
-        cold = build_fused(compiled, cache_size=1)  # ~no reuse
-        warm = build_fused(compiled)
+        # The cache is the bitset tier's memo: pin that tier.
+        cold = build_fused(compiled, cache_size=1, table_states=0)  # ~no reuse
+        warm = build_fused(compiled, table_states=0)
         assert cold.scan(data) == warm.scan(data)
         assert warm.scan(data) == warm.scan(data)  # warm rerun stable
 
@@ -285,9 +287,92 @@ class TestTableBlowup:
         assert info["hits"] == info["misses"] == 0
 
 
+def _regexlib(count, length, rate=None):
+    """RegexLib-``count`` and a seeded stream: mostly background with
+    rare, mostly truncated plants, or complete plants at ``rate``."""
+    patterns = load_dataset("RegexLib", count, 1)
+    compiled = compile_all(patterns, CompilerOptions())
+    pool = PROFILES["RegexLib"].literal_pool
+    rng = random.Random(7)
+    if rate is None:
+        return compiled, dataset_stream(patterns, rng, length, pool)
+    return compiled, match_rate_stream(patterns, rng, length, pool, rate)
+
+
+class TestTableFlush:
+    """A full table is emptied in place and refilled from the current
+    mask; it is abandoned for the bitset tier only when the interval
+    since the previous flush scanned fewer than ``MIN_BYTES_PER_FILL``
+    bytes per fill."""
+
+    def _working_set_budget(self):
+        """A 64 KiB RegexLib-16 stream, its bitset-tier events, and a
+        state budget of half the distinct states the stream visits."""
+        compiled, data = _regexlib(16, 1 << 16)
+        expected = build_fused(
+            compiled, table_states=0, prefilter=False
+        ).scan(data)
+        unbounded = build_fused(compiled, table_states=1 << 20, prefilter=False)
+        assert unbounded.scan(data) == expected
+        return compiled, data, expected, unbounded.table_info()["states"] // 2
+
+    def _assert_flushed_on_table(self, matcher):
+        info = matcher.table_info()
+        assert info["flushes"] >= 1
+        assert info["live"] and info["fallbacks"] == 0
+        assert info["steps_bitset"] == 0
+        assert info["states"] <= info["state_capacity"]
+        # Fills take the uncached step: the bitset tier's LRU stays empty.
+        assert matcher.cache_info()["entries"] == 0
+
+    def test_budget_above_working_set_flushes_and_stays(self):
+        compiled, data, expected, budget = self._working_set_budget()
+        matcher = build_fused(compiled, table_states=budget, prefilter=False)
+        assert matcher.scan(data) == expected
+        self._assert_flushed_on_table(matcher)
+
+    @pytest.mark.parametrize("chunk", (7, 4096))
+    def test_chunked_feed_flushes_identically(self, chunk):
+        compiled, data, expected, budget = self._working_set_budget()
+        matcher = build_fused(compiled, table_states=budget, prefilter=False)
+        got = []
+        for start in range(0, len(data), chunk):
+            for slot, end in matcher.feed(data[start:start + chunk]):
+                got.append((slot, start + end))
+        assert got == expected
+        self._assert_flushed_on_table(matcher)
+
+    def test_flush_counter(self):
+        from repro import telemetry
+
+        compiled, data, expected, budget = self._working_set_budget()
+        with telemetry.session():
+            matcher = build_fused(compiled, table_states=budget, prefilter=False)
+            assert matcher.scan(data) == expected
+            counters = telemetry.snapshot()["counters"]
+        assert counters["scan.table.flush"] == matcher.table_info()["flushes"]
+        assert "scan.table.fallback" not in counters
+
+    @pytest.mark.parametrize("prefilter", (False, True))
+    def test_fill_every_few_bytes_abandons_at_first_flush(self, prefilter):
+        # Complete plants at a 50% rate mint a new mask every few bytes.
+        compiled, data = _regexlib(16, 1 << 14, rate=0.5)
+        expected = build_fused(
+            compiled, table_states=0, prefilter=False
+        ).scan(data)
+        matcher = build_fused(compiled, table_states=512, prefilter=prefilter)
+        assert matcher.scan(data) == expected
+        info = matcher.table_info()
+        assert info["flushes"] == 0
+        assert info["fallbacks"] == 1 and not info["live"]
+        assert info["steps_bitset"] > 0
+
+
 class TestCacheBytes:
     """Satellite: the successor cache is bounded by estimated bytes,
-    keyed on mask bit length, not just entry count."""
+    keyed on mask bit length, not just entry count.  The cache is the
+    bitset tier's memo (table fills bypass it), so the matchers here run
+    with the table off."""
 
     def test_entry_bytes_scale_with_mask_width(self):
         from repro.matching.fused import entry_bytes
@@ -298,7 +383,7 @@ class TestCacheBytes:
         assert wide - narrow >= 2 * (100_000 - 10) // 8 - 16
 
     def test_cache_info_reports_bytes(self):
-        matcher = build_fused(compile_all(["ab"]))
+        matcher = build_fused(compile_all(["ab"]), table_states=0)
         matcher.scan(b"abcabc")
         info = matcher.cache_info()
         assert info["bytes"] > 0
@@ -310,7 +395,9 @@ class TestCacheBytes:
 
         # Room for roughly two narrow entries only.
         budget = entry_bytes(0, 0) * 2 + 10
-        matcher = build_fused(compile_all(["ab"]), cache_bytes=budget)
+        matcher = build_fused(
+            compile_all(["ab"]), cache_bytes=budget, table_states=0
+        )
         matcher.scan(b"abcabcabc" * 4)
         info = matcher.cache_info()
         assert info["bytes"] <= budget
@@ -319,7 +406,9 @@ class TestCacheBytes:
     def test_byte_accounting_balances_after_evictions(self):
         from repro.matching.fused import entry_bytes
 
-        matcher = build_fused(compile_all(["ab{3}c", "xy"]), cache_size=4)
+        matcher = build_fused(
+            compile_all(["ab{3}c", "xy"]), cache_size=4, table_states=0
+        )
         matcher.scan(b"abbbc xy zq abbc xbbz" * 3)
         info = matcher.cache_info()
         recomputed = sum(
@@ -335,12 +424,14 @@ class TestCacheBytes:
     def test_results_unchanged_by_byte_pressure(self):
         compiled = compile_all(["ab{2,4}c", "x(yz){2}", "q+r"])
         data = b"abbc xyzyz qqr abbbbc" * 3
-        tight = build_fused(compiled, cache_bytes=500)
-        roomy = build_fused(compiled)
+        tight = build_fused(compiled, cache_bytes=500, table_states=0)
+        roomy = build_fused(compiled, table_states=0)
         assert tight.scan(data) == roomy.scan(data)
 
     def test_cache_full_flags_saturation(self):
-        matcher = build_fused(compile_all(["ab"]), cache_size=2)
+        matcher = build_fused(
+            compile_all(["ab"]), cache_size=2, table_states=0
+        )
         assert not matcher.cache_full()
         matcher.scan(b"abcabcxyz")
         assert matcher.cache_full()

@@ -77,10 +77,15 @@ def test_golden_corpus_has_matches(pattern, data):
 # --- fused stepping tiers over the whole corpus as one rule set ---------
 #
 # The corpus doubles as the differential bed for the fused engine's
-# three stepping tiers: bitset (table_states=0, no prefilter), dense
-# table, and table+prefilter must produce byte-identical match streams
-# on a mixed rule set whose literals, charclasses, and counting blocks
-# stress the literal extractor and the lazy table together.
+# stepping tiers: bitset (table_states=0, no prefilter), dense table,
+# table+prefilter, and a flushing table (a budget of a few states,
+# emptied and refilled every few bytes) must produce byte-identical
+# match streams on a mixed rule set whose literals, charclasses, and
+# counting blocks stress the literal extractor and the lazy table
+# together.
+
+#: State budget of the flushing tier.
+FLUSH_STATES = 4
 
 
 def _compile_corpus():
@@ -94,7 +99,20 @@ def _corpus_stream():
     return b" ".join(data for _, data in CORPUS)
 
 
-def test_golden_corpus_fused_tiers_byte_identical():
+def _flushing_tiers(compiled):
+    return [
+        build_fused(compiled, table_states=FLUSH_STATES, prefilter=prefilter)
+        for prefilter in (True, False)
+    ]
+
+
+def _assert_flushed(matcher):
+    info = matcher.table_info()
+    assert info["flushes"] >= 1
+    assert info["live"] and info["fallbacks"] == 0
+
+
+def test_golden_corpus_fused_tiers_byte_identical(always_flush):
     compiled = _compile_corpus()
     data = _corpus_stream()
     expected = build_fused(compiled, table_states=0, prefilter=False).scan(data)
@@ -104,23 +122,32 @@ def test_golden_corpus_fused_tiers_byte_identical():
     assert table.table_info()["live"]
     prefiltered = build_fused(compiled)
     assert prefiltered.scan(data) == expected
+    for flushing in _flushing_tiers(compiled):
+        assert flushing.scan(data) == expected
+        _assert_flushed(flushing)
 
 
 @pytest.mark.parametrize("chunk", (1, 3, 7, 16))
-def test_golden_corpus_chunked_feed_straddles_windows(chunk):
+def test_golden_corpus_chunked_feed_straddles_windows(chunk, always_flush):
     """Mid-stream ``feed()`` boundaries must not change the stream even
     when a chunk cut lands inside a prefilter arming window (the tail
-    re-arming covers literal occurrences straddling the boundary)."""
+    re-arming covers literal occurrences straddling the boundary) or
+    the flushing tier empties its table at a seam."""
     compiled = _compile_corpus()
     data = _corpus_stream()
     expected = build_fused(compiled, table_states=0, prefilter=False).scan(data)
-    for matcher in (build_fused(compiled), build_fused(compiled, prefilter=False)):
+    flushing = _flushing_tiers(compiled)
+    for matcher in (
+        build_fused(compiled), build_fused(compiled, prefilter=False), *flushing
+    ):
         matcher.reset()
         got = []
         for start in range(0, len(data), chunk):
             for slot, end in matcher.feed(data[start:start + chunk]):
                 got.append((slot, start + end))
         assert got == expected, chunk
+    for matcher in flushing:
+        _assert_flushed(matcher)
 
 
 # --- reduced-vs-unreduced axis ------------------------------------------

@@ -24,6 +24,8 @@ from repro.matching import (
     plan_shards,
 )
 from repro.matching.bench import bench_shard_scaling
+from repro.matching.fused import DEFAULT_TABLE_BYTES
+from repro.resilience import Budget
 from repro.workloads import (
     DATASET_NAMES,
     PROFILES,
@@ -184,6 +186,36 @@ class TestFusedParity:
                 compiled, num_shards=2, backend="inline"
             ) as inline_backend:
                 assert process_backend.scan(data) == inline_backend.scan(data)
+
+    @pytest.mark.parametrize("max_cache_bytes", (4096, None))
+    def test_budget_caps_every_shard_table(self, max_cache_bytes):
+        """``Budget.max_cache_bytes`` caps each shard's dense table as it
+        caps the fused engine's; unset keeps the default.  The inline
+        shards run the worker's command handler in-process."""
+        budget = Budget(max_cache_bytes=max_cache_bytes)
+        data = b"ab c abbc ababc ccc bcbc" * 20
+        fused = PatternSet(
+            PATTERNS, options=OPTIONS, engine="fused", budget=budget
+        )
+        with PatternSet(
+            PATTERNS,
+            options=OPTIONS,
+            engine="sharded",
+            shards=2,
+            shard_backend="inline",
+            budget=budget,
+        ) as ps:
+            assert ps.scan(data) == fused.scan(data)
+            shards = ps._sharded._shards
+            assert len(shards) == 2
+            for shard in shards:
+                info = shard.conn.matcher.table_info()
+                assert info["byte_capacity"] == (
+                    max_cache_bytes or DEFAULT_TABLE_BYTES
+                )
+        assert fused._fused.table_info()["byte_capacity"] == (
+            max_cache_bytes or DEFAULT_TABLE_BYTES
+        )
 
     def test_quarantine_preserves_original_ids(self):
         ps = PatternSet(
@@ -457,10 +489,24 @@ class TestWorkerStats:
         assert set(worker_stats) == {0, 1}
         for stats in worker_stats.values():
             assert stats["symbols"] == len(data)
-            assert set(stats) >= {"cache_hits", "cache_misses", "symbols"}
+            assert set(stats) >= {
+                "cache_hits",
+                "cache_misses",
+                "table_hits",
+                "table_misses",
+                "table_flushes",
+                "table_fallbacks",
+                "symbols",
+            }
         counters = snapshot["counters"]
         assert counters["scan.shard.symbols{shard=0}"] == len(data)
         assert counters["scan.shard.symbols{shard=1}"] == len(data)
+        for shard in (0, 1):
+            # The worker's table served the scan: its fills and hits
+            # reach the parent registry.
+            assert counters[f"scan.shard.table_misses{{shard={shard}}}"] > 0
+            assert counters[f"scan.shard.table_hits{{shard={shard}}}"] > 0
+            assert worker_stats[shard]["table_fallbacks"] == 0
 
     def test_inline_backend_ships_stats(self):
         compiled = compile_all(["ax", "bx"])

@@ -7,6 +7,7 @@ import pytest
 
 from repro import telemetry
 from repro.matching import DegradationPolicy, PatternSet
+from repro.resilience import Budget
 
 PATTERNS = ["ab{3}c", "x[0-9]{2}y", "q+r", "m{2,5}n"]
 
@@ -111,11 +112,17 @@ class TestDemotion:
         assert [(m.pattern_id, m.end) for m in second] == [(0, 2), (1, 5)]
 
     def test_cache_thrash_reason_possible(self):
-        # A tiny cache plus random input forces misses once full.
+        # A tiny cache plus random input forces misses once full.  The
+        # cache is the bitset tier's memo, so the table is off.
         policy = DegradationPolicy(
             check_bytes=256, min_window=16, min_hit_rate=1.0
         )
-        ps = PatternSet(PATTERNS, engine="fused", degradation=policy)
+        ps = PatternSet(
+            PATTERNS,
+            engine="fused",
+            degradation=policy,
+            budget=Budget(max_table_states=0),
+        )
         ps._fused._cache_size = 4  # force permanent thrash
         ps.scan(_stream(4096))
         reasons = {event.reason for event in ps.degradations}
