@@ -124,6 +124,21 @@ def reduce_ah(
 # -- partition refinement ----------------------------------------------
 
 
+_MASK64 = (1 << 64) - 1
+
+#: Hash salts :func:`_refine` tries before giving up; each retry needs a
+#: fresh 64-bit collision, so the first salt all but always stands.
+_MAX_SALTS = 4
+
+
+def _block_hash(block_id: int, salt: int) -> int:
+    """A 64-bit hash of a block id (the splitmix64 finaliser)."""
+    z = ((block_id + (salt << 32)) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def _refine(
     seeds: List[object], adjacency: List[List[int]], frozen: Sequence[bool]
 ) -> List[List[int]]:
@@ -135,33 +150,123 @@ def _refine(
     non-frozen states stay together only while they share a seed and
     their adjacent states fall into the same set of blocks — i.e. the
     quotient is a bisimulation with respect to ``adjacency``.
+
+    Blocks are listed by their smallest state, members ascending.  The
+    refinement is a worklist (see :func:`_refine_salted`): a pass over
+    every edge per round would rescan the O(N²) edges of an unfolded
+    ``.{1,N}`` gap once for each state it splits off.
     """
-    count = len(seeds)
-    block_of = [0] * count
     groups: Dict[object, List[int]] = {}
-    for q in range(count):
+    for q in range(len(seeds)):
         key = ("frozen", q) if frozen[q] else ("seed", seeds[q])
         groups.setdefault(key, []).append(q)
-    for block_id, members in enumerate(groups.values()):
-        for q in members:
-            block_of[q] = block_id
-    num_blocks = len(groups)
-    while True:
-        refined: Dict[Tuple[int, frozenset], List[int]] = {}
-        for q in range(count):
-            signature = (
-                block_of[q],
-                frozenset(block_of[n] for n in adjacency[q]),
-            )
-            refined.setdefault(signature, []).append(q)
-        if len(refined) == num_blocks:
-            blocks = list(refined.values())
-            blocks.sort(key=min)
+    incoming: List[List[int]] = [[] for _ in seeds]
+    for q, adjacent in enumerate(adjacency):
+        for n in adjacent:
+            incoming[n].append(q)
+    # A hash collision leaves a block unstable; another salt re-hashes.
+    for salt in range(_MAX_SALTS):
+        blocks = _refine_salted(
+            list(groups.values()), adjacency, incoming, frozen, salt
+        )
+        if blocks is not None:
             return blocks
-        num_blocks = len(refined)
-        for block_id, members in enumerate(refined.values()):
-            for q in members:
-                block_of[q] = block_id
+    raise RuntimeError("partition refinement found no stable partition")
+
+
+def _refine_salted(
+    initial: List[List[int]],
+    adjacency: List[List[int]],
+    incoming: List[List[int]],
+    frozen: Sequence[bool],
+    salt: int,
+) -> Optional[List[List[int]]]:
+    """One worklist refinement of the ``initial`` blocks, or ``None``
+    when a hash collision left the result unstable.
+
+    Each state counts its adjacent states per block and keeps the sum
+    of its adjacent blocks' hashes as its signature, so moving a state
+    costs only its incoming edges.  A round regroups, block by block,
+    the states with an adjacent state that moved; a split block keeps
+    its largest group, and the others move to new blocks, so each state
+    moves O(log n) times: O(E log n) in all.  A hash collision can only
+    keep states with different adjacent block sets together, never
+    split equal ones, so the result is the coarsest stable partition
+    exactly when the final check finds every block stable.
+    """
+    block_of = [0] * len(adjacency)
+    members: List[Set[int]] = []
+    for block_id, group in enumerate(initial):
+        members.append(set(group))
+        for q in group:
+            block_of[q] = block_id
+    hashes = [_block_hash(block_id, salt) for block_id in range(len(members))]
+    counts: List[Dict[int, int]] = []
+    signature: List[int] = []
+    for adjacent in adjacency:
+        per_block: Dict[int, int] = {}
+        for n in adjacent:
+            block_id = block_of[n]
+            per_block[block_id] = per_block.get(block_id, 0) + 1
+        counts.append(per_block)
+        signature.append(sum(hashes[b] for b in per_block) & _MASK64)
+    # The signature shared by a block's members, once it is known.
+    block_signature: List[Optional[int]] = [None] * len(members)
+    pending = {q for q in range(len(adjacency)) if not frozen[q]}
+    while pending:
+        touched: Dict[int, List[int]] = {}
+        for q in pending:
+            touched.setdefault(block_of[q], []).append(q)
+        moves: List[Tuple[int, int, int]] = []
+        for block_id, states in touched.items():
+            block = members[block_id]
+            by_signature: Dict[int, List[int]] = {}
+            for q in states:
+                by_signature.setdefault(signature[q], []).append(q)
+            sizes = {sig: len(group) for sig, group in by_signature.items()}
+            untouched = len(block) - len(states)
+            shared = block_signature[block_id]
+            if untouched:
+                # The untouched members still carry the shared signature.
+                sizes[shared] = sizes.get(shared, 0) + untouched
+            keep = max(sizes, key=sizes.__getitem__)
+            if untouched and keep != shared:
+                by_signature.setdefault(shared, []).extend(
+                    block.difference(states)
+                )
+            by_signature.pop(keep, None)
+            block_signature[block_id] = keep
+            for sig, moved in by_signature.items():
+                new_id = len(members)
+                members.append(set(moved))
+                block_signature.append(sig)
+                hashes.append(_block_hash(new_id, salt))
+                block.difference_update(moved)
+                for q in moved:
+                    block_of[q] = new_id
+                    moves.append((q, block_id, new_id))
+        pending = set()
+        for q, old, new in moves:
+            for p in incoming[q]:
+                per_block = counts[p]
+                if per_block[old] == 1:
+                    del per_block[old]
+                    signature[p] = (signature[p] - hashes[old]) & _MASK64
+                else:
+                    per_block[old] -= 1
+                if new in per_block:
+                    per_block[new] += 1
+                else:
+                    per_block[new] = 1
+                    signature[p] = (signature[p] + hashes[new]) & _MASK64
+                if not frozen[p]:
+                    pending.add(p)
+    for block in members:
+        if len({frozenset(counts[q]) for q in block}) > 1:
+            return None
+    blocks = [sorted(block) for block in members]
+    blocks.sort(key=lambda block: block[0])
+    return blocks
 
 
 def _successors(ah: AHNBVA) -> List[List[int]]:

@@ -46,12 +46,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from .. import telemetry
 from ..telemetry import flight, profiler
 from .._bits import popcount
-from ..automata.ah import is_counter_free
 from ..automata.nca import NCAMatcher
 from ..compiler.pipeline import (
     CompiledRegex,
     CompilerOptions,
-    build_scan_nfa,
     build_unfolded_nfa,
     compile_pattern,
     compile_pattern_isolated,
@@ -66,7 +64,6 @@ from .fused import (
     DEFAULT_CACHE_SIZE,
     DEFAULT_TABLE_STATES,
     FusedMatcher,
-    append_nfas,
     fuse_patterns,
     remap_active,
     remap_slot_mask,
@@ -80,6 +77,40 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ENGINES = ("ah", "nbva", "nca", "nfa", "fused", "sharded")
 
 ON_ERROR_MODES = ("raise", "quarantine")
+
+#: ``engine.fused.*`` telemetry counters and the :class:`FusedMatcher`
+#: attributes whose per-feed deltas they accumulate.
+_FUSED_COUNTERS = (
+    ("engine.fused.cache_hits", "cache_hits"),
+    ("engine.fused.cache_misses", "cache_misses"),
+    ("engine.fused.table_hits", "table_hits"),
+    ("engine.fused.table_misses", "table_misses"),
+    ("engine.fused.skipped_bytes", "prefilter_skipped"),
+)
+
+
+def _per_pattern_events(
+    data: bytes, base: int, matchers
+) -> List[Tuple[int, int]]:
+    """``(end, pattern id)`` events of ``(pattern id, matcher)`` pairs
+    over ``data``.  Anchored patterns ride on single-pattern fused
+    matchers, which must see whole chunks (their gates are positional);
+    the step engines advance one byte at a time."""
+    events: List[Tuple[int, int]] = []
+    for pattern_id, matcher in matchers:
+        if isinstance(matcher, FusedMatcher):
+            events.extend(
+                (base + offset, pattern_id)
+                for _slot, offset in matcher.feed(data)
+            )
+        else:
+            step = matcher.step
+            events.extend(
+                (base + offset, pattern_id)
+                for offset, symbol in enumerate(data)
+                if step(symbol)
+            )
+    return events
 
 
 @dataclass(frozen=True)
@@ -116,7 +147,9 @@ class DegradationPolicy:
 
     Either way the pattern with the widest active slice is demoted onto
     the first workable engine in ``fallback_chain`` and the fused
-    automaton is rebuilt without it.  The ``"nfa"`` fallback transfers
+    automaton is rebuilt without it.  The rebuilt set keeps the
+    prefilter and the dense table; only the demoted pattern steps one
+    byte at a time.  The ``"nfa"`` fallback transfers
     the pattern's live state bits, so no in-flight match is lost; other
     engines restart the pattern from the empty activation.
     """
@@ -267,6 +300,30 @@ class PatternSet:
             prefilter=self._prefilter,
         )
 
+    def _rebuild_fused(
+        self,
+        automaton,
+        keep: Sequence[int],
+        added: Sequence[CompiledRegex] = (),
+    ) -> None:
+        """Swap in a matcher over ``automaton``: the old automaton's
+        slots ``keep``, in order, then the ``added`` patterns.  The kept
+        slots' activation and stream bookkeeping carry across, and an
+        added pattern starts empty without re-arming its ``^`` gate
+        (offset 0 has already passed)."""
+        old = self._fused
+        matcher = self._build_fused_matcher(automaton, old=old)
+        matcher.active = remap_active(old.fused, keep, old.active)
+        matcher._at_start = old._at_start
+        matcher._tail_emits = remap_slot_mask(old._tail_emits, keep)
+        self._fused = matcher
+        self._fused_ids = [self._fused_ids[s] for s in keep] + [
+            c.regex_id for c in added
+        ]
+        self._fused_compiled = [self._fused_compiled[s] for s in keep] + list(
+            added
+        )
+
     # -- compilation ---------------------------------------------------
 
     def _compile(
@@ -367,31 +424,11 @@ class PatternSet:
             if self._sharded is not None:
                 self._sharded.add_patterns(fresh, new_ids)
             elif self._fused is not None:
-                old = self._fused
-                nfas = [build_scan_nfa(c) for c in fresh]
-                sources = [
-                    "ah"
-                    if c.anchors is None and is_counter_free(c.ah)
-                    else "unfolded"
-                    for c in fresh
-                ]
-                matcher = self._build_fused_matcher(
-                    append_nfas(
-                        old.fused, nfas, sources,
-                        literals=[c.literals for c in fresh],
-                    ),
-                    old=old,
+                self._rebuild_fused(
+                    fuse_patterns(fresh, base=self._fused.fused),
+                    range(len(self._fused_ids)),
+                    fresh,
                 )
-                matcher.active = old.active
-                # Stream bookkeeping survives the rebuild: appended slots
-                # keep their positions, so the tail-emit mask carries
-                # over unchanged, and a pattern added mid-stream must not
-                # re-arm its ^ gate (offset 0 has already passed).
-                matcher._at_start = old._at_start
-                matcher._tail_emits = old._tail_emits
-                self._fused = matcher
-                self._fused_ids.extend(new_ids)
-                self._fused_compiled.extend(fresh)
             else:
                 self._matchers.extend(
                     self._make_matcher(c) for c in fresh
@@ -432,24 +469,9 @@ class PatternSet:
                 if pid not in remove
             ]
             if len(keep_slots) < len(self._fused_ids):
-                old = self._fused
-                matcher = self._build_fused_matcher(
-                    subset_fused(old.fused, keep_slots), old=old
+                self._rebuild_fused(
+                    subset_fused(self._fused.fused, keep_slots), keep_slots
                 )
-                matcher.active = remap_active(
-                    old.fused, keep_slots, old.active
-                )
-                matcher._at_start = old._at_start
-                matcher._tail_emits = remap_slot_mask(
-                    old._tail_emits, keep_slots
-                )
-                self._fused = matcher
-                self._fused_ids = [
-                    self._fused_ids[s] for s in keep_slots
-                ]
-                self._fused_compiled = [
-                    self._fused_compiled[s] for s in keep_slots
-                ]
         else:
             self._matchers = [self._matchers[i] for i in keep_idx]
         self.compiled = [self.compiled[i] for i in keep_idx]
@@ -548,12 +570,19 @@ class PatternSet:
         thrash/width triggers on the same cadence.
         """
         self._stream_len += len(data)
+        feed_block = (
+            self._feed_instrumented
+            if telemetry.enabled()
+            or flight.flight_enabled()
+            or profiler.profiling_enabled()
+            else self._feed_block
+        )
         clock = (
             self.budget.start() if self.budget.deadline_s is not None else None
         )
         degrade = self._fused is not None and self.degradation is not None
         if clock is None and not degrade:
-            return self._feed_block(data, 0)
+            return feed_block(data, 0)
         step = self.budget.check_bytes
         if degrade:
             step = min(step, self.degradation.check_bytes)
@@ -561,7 +590,7 @@ class PatternSet:
         for base in range(0, len(data), step):
             if clock is not None:
                 clock.check("scan")
-            out.extend(self._feed_block(data[base : base + step], base))
+            out.extend(feed_block(data[base : base + step], base))
             if degrade:
                 self._maybe_degrade()
         if clock is not None:
@@ -594,14 +623,16 @@ class PatternSet:
         pattern_ids.sort()
         return [Match(pattern_id, last) for pattern_id in pattern_ids]
 
-    def _feed_block(self, data: bytes, base: int) -> List[Match]:
-        """One uninterrupted stretch of the feed loop."""
-        if (
-            telemetry.enabled()
-            or flight.flight_enabled()
-            or profiler.profiling_enabled()
-        ):
-            return self._feed_instrumented(data, base)
+    def _feed_block(
+        self,
+        data: bytes,
+        base: int,
+        prof: "Optional[profiler.ScanProfiler]" = None,
+    ) -> List[Match]:
+        """One uninterrupted stretch of the feed loop, and the one scan
+        dispatch, instrumented or not: the sharded scanner, the fused
+        matcher (sampled by ``prof`` when profiling) merged with any
+        demoted patterns, or the per-pattern matchers."""
         if self._sharded is not None:
             return [
                 Match(pattern_id, base + end)
@@ -609,202 +640,62 @@ class PatternSet:
             ]
         fused = self._fused
         if fused is not None:
-            if self._demoted:
-                return self._feed_fused_degraded(data, base)
             ids = self._fused_ids
-            return [
-                Match(ids[slot], base + offset)
-                for slot, offset in fused.feed(data)
-            ]
-        out: List[Match] = []
-        ids = self._pattern_ids
-        matchers = self._matchers
-        if any(isinstance(m, FusedMatcher) for m in matchers):
-            return self._feed_mixed(data, base)
-        for offset, symbol in enumerate(data):
-            for slot, matcher in enumerate(matchers):
-                if matcher.step(symbol):
-                    out.append(Match(ids[slot], base + offset))
-        return out
-
-    def _feed_fused_degraded(self, data: bytes, base: int) -> List[Match]:
-        """Fused step plus the demoted per-pattern matchers, merged in
-        (offset, pattern id) order so the stream is indistinguishable
-        from the undegraded one."""
-        fused = self._fused
-        ids = self._fused_ids
-        demoted = self._demoted
-        events: List[Tuple[int, int]] = []
-        if fused.fused.anchored:
-            # Gated automatons are stepped through feed() (per-symbol
-            # step_report cannot honour the positional gates); demoted
-            # patterns are never anchored, so they still step per byte.
-            events.extend(
-                (base + offset, ids[slot])
-                for slot, offset in fused.feed(data)
+            fused_events = (
+                fused.feed(data) if prof is None
+                else prof.feed(fused, data, ids)
             )
-            for pattern_id, matcher in demoted:
-                events.extend(
-                    (base + offset, pattern_id)
-                    for offset, symbol in enumerate(data)
-                    if matcher.step(symbol)
-                )
+            if not self._demoted:
+                return [
+                    Match(ids[slot], base + offset)
+                    for slot, offset in fused_events
+                ]
+            events = [
+                (base + offset, ids[slot]) for slot, offset in fused_events
+            ]
+            events.extend(_per_pattern_events(data, base, self._demoted))
         else:
-            for offset, symbol in enumerate(data):
-                for slot in fused.step_report(symbol):
-                    events.append((base + offset, ids[slot]))
-                for pattern_id, matcher in demoted:
-                    if matcher.step(symbol):
-                        events.append((base + offset, pattern_id))
+            events = _per_pattern_events(
+                data, base, zip(self._pattern_ids, self._matchers)
+            )
         events.sort()
         return [Match(pattern_id, end) for end, pattern_id in events]
 
-    def _feed_mixed(self, data: bytes, base: int) -> List[Match]:
-        """Per-pattern feed when anchored patterns are present.
-
-        Anchored patterns ride on single-pattern fused matchers that
-        must see whole chunks (their gates are positional), so each
-        matcher runs over the chunk independently and the events are
-        merged in (end, pattern id) order.
-        """
-        ids = self._pattern_ids
-        events: List[Tuple[int, int]] = []
-        for slot, matcher in enumerate(self._matchers):
-            if isinstance(matcher, FusedMatcher):
-                events.extend(
-                    (base + offset, ids[slot])
-                    for _slot, offset in matcher.feed(data)
-                )
-            else:
-                events.extend(
-                    (base + offset, ids[slot])
-                    for offset, symbol in enumerate(data)
-                    if matcher.step(symbol)
-                )
-        events.sort()
-        return [Match(pattern_id, end) for end, pattern_id in events]
+    def _active_count(self) -> int:
+        """Active states summed over the fused matcher, the demoted and
+        the per-pattern matchers."""
+        matchers = [m for _pid, m in self._demoted] + self._matchers
+        if self._fused is not None:
+            matchers.append(self._fused)
+        return sum(m.active_count() for m in matchers)
 
     def _feed_instrumented(self, data: bytes, base: int = 0) -> List[Match]:
-        """The :meth:`feed` loop plus telemetry: symbols scanned, matches
-        emitted, and a per-symbol active-state occupancy histogram
-        (summed over the set's matchers)."""
+        """:meth:`_feed_block` plus telemetry: the ``engine.feed`` span,
+        symbols scanned, matches emitted, the fused matcher's tier
+        counters as deltas, one active-state occupancy observation per
+        block (the activation left at its end), and the flight record."""
         collect = telemetry.metrics_enabled()
-        if collect:
-            registry = telemetry.registry()
-            occupancy = registry.histogram("engine.active_states")
-        out: List[Match] = []
-        matchers = self._matchers
         fused = self._fused
+        if fused is not None:
+            before = [getattr(fused, attr) for _name, attr in _FUSED_COUNTERS]
         with telemetry.span(
             "engine.feed", "engine", engine=self.engine, symbols=len(data)
         ) as sp:
-            if self._sharded is not None:
-                # Per-shard instruments (scan.shard.*) are recorded by the
-                # orchestrator itself; occupancy histograms live worker-side
-                # and are not observable from here.
-                out = [
-                    Match(pattern_id, base + end)
-                    for pattern_id, end in self._sharded.feed(data)
-                ]
-            elif fused is not None:
-                hits, misses = fused.cache_hits, fused.cache_misses
-                table_hits, table_misses = fused.table_hits, fused.table_misses
-                skipped = fused.prefilter_skipped
-                ids = self._fused_ids
-                demoted = self._demoted
-                prof = profiler.active_profiler()
-                if prof is not None and not demoted:
-                    # The profiler owns the stepping loop (it has to time
-                    # the sampled steps itself); the occupancy histogram
-                    # is not observed on this path — the profile's own
-                    # heatmap carries the density picture instead.
-                    # Gated automatons are sampled via one-byte feeds
-                    # inside the profiler, so positional gates hold.
-                    out = [
-                        Match(ids[slot], base + offset)
-                        for slot, offset in prof.feed(fused, data, ids)
-                    ]
-                elif fused.fused.anchored:
-                    # Gated automatons run through feed(); per-symbol
-                    # occupancy is not observable from outside the
-                    # matcher, so the histogram sees the chunk-end
-                    # density only.
-                    events = [
-                        (base + offset, ids[slot])
-                        for slot, offset in fused.feed(data)
-                    ]
-                    for pattern_id, matcher in demoted:
-                        events.extend(
-                            (base + offset, pattern_id)
-                            for offset, symbol in enumerate(data)
-                            if matcher.step(symbol)
-                        )
-                    events.sort()
-                    out = [
-                        Match(pattern_id, end) for end, pattern_id in events
-                    ]
-                    if collect and data:
-                        occupancy.observe(
-                            fused.active_count()
-                            + sum(m.active_count() for _pid, m in demoted)
-                        )
-                else:
-                    events: List[Tuple[int, int]] = []
-                    for offset, symbol in enumerate(data):
-                        for slot in fused.step_report(symbol):
-                            events.append((base + offset, ids[slot]))
-                        for pattern_id, matcher in demoted:
-                            if matcher.step(symbol):
-                                events.append((base + offset, pattern_id))
-                        if collect:
-                            occupancy.observe(
-                                fused.active_count()
-                                + sum(m.active_count() for _pid, m in demoted)
-                            )
-                    if demoted:
-                        events.sort()
-                    out = [
-                        Match(pattern_id, end) for end, pattern_id in events
-                    ]
-            elif any(isinstance(m, FusedMatcher) for m in matchers):
-                out = self._feed_mixed(data, base)
-                if collect and data:
-                    occupancy.observe(
-                        sum(m.active_count() for m in matchers)
-                    )
-            else:
-                ids = self._pattern_ids
-                for offset, symbol in enumerate(data):
-                    for slot, matcher in enumerate(matchers):
-                        if matcher.step(symbol):
-                            out.append(Match(ids[slot], base + offset))
-                    if collect:
-                        occupancy.observe(
-                            sum(m.active_count() for m in matchers)
-                        )
+            out = self._feed_block(data, base, profiler.active_profiler())
             sp.set(matches=len(out))
         if collect:
+            registry = telemetry.registry()
             registry.counter("engine.symbols_scanned").inc(len(data))
             registry.counter("engine.matches_emitted").inc(len(out))
             if fused is not None:
-                registry.counter("engine.fused.cache_hits").inc(
-                    fused.cache_hits - hits
+                for (name, attr), value in zip(_FUSED_COUNTERS, before):
+                    registry.counter(name).inc(getattr(fused, attr) - value)
+            # Occupancy lives worker-side on the sharded engine; its
+            # orchestrator records the scan.shard.* instruments itself.
+            if data and self._sharded is None:
+                registry.histogram("engine.active_states").observe(
+                    self._active_count()
                 )
-                registry.counter("engine.fused.cache_misses").inc(
-                    fused.cache_misses - misses
-                )
-                if fused.table_hits > table_hits:
-                    registry.counter("engine.fused.table_hits").inc(
-                        fused.table_hits - table_hits
-                    )
-                if fused.table_misses > table_misses:
-                    registry.counter("engine.fused.table_misses").inc(
-                        fused.table_misses - table_misses
-                    )
-                if fused.prefilter_skipped > skipped:
-                    registry.counter("engine.fused.skipped_bytes").inc(
-                        fused.prefilter_skipped - skipped
-                    )
         if flight.flight_enabled():
             flight.record(
                 "scan_chunk",
@@ -816,7 +707,7 @@ class PatternSet:
             if fused is not None:
                 flight.note_state(
                     engine=self.engine,
-                    active_states=fused.active_count(),
+                    active_states=self._active_count(),
                     cache_hits=fused.cache_hits,
                     cache_misses=fused.cache_misses,
                     demoted=[pid for pid, _m in self._demoted],
@@ -834,10 +725,7 @@ class PatternSet:
                 )
             else:
                 flight.note_state(
-                    engine=self.engine,
-                    active_states=sum(
-                        m.active_count() for m in matchers
-                    ),
+                    engine=self.engine, active_states=self._active_count()
                 )
         return out
 
@@ -919,15 +807,7 @@ class PatternSet:
         if matcher is None:
             return  # nothing in the chain can host it; stay fused
         keep = [i for i in range(len(self._fused_ids)) if i != slot]
-        new_matcher = self._build_fused_matcher(
-            subset_fused(automaton, keep), old=fused
-        )
-        new_matcher.active = remap_active(automaton, keep, fused.active)
-        new_matcher._at_start = fused._at_start
-        new_matcher._tail_emits = remap_slot_mask(fused._tail_emits, keep)
-        self._fused = new_matcher
-        self._fused_ids = [self._fused_ids[i] for i in keep]
-        self._fused_compiled = [self._fused_compiled[i] for i in keep]
+        self._rebuild_fused(subset_fused(automaton, keep), keep)
         self._demoted.append((pattern_id, matcher))
         self._demoted.sort(key=lambda item: item[0])
         self._deg_hits = 0

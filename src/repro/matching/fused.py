@@ -140,9 +140,9 @@ class FusedAutomaton:
         sources: per-pattern automaton provenance, ``"ah"`` when the
             counter-free AH-NBVA graph was reused, ``"unfolded"`` for
             the Glushkov fallback.
-        nfas: the original per-pattern NFAs (kept so a pattern can be
-            peeled back out — e.g. runtime demotion to a per-pattern
-            engine — without recompiling).
+        nfas: the original per-pattern NFAs (kept so the set can be
+            re-fused without recompiling: a pattern peeled back out for
+            runtime demotion or removal, or new patterns appended).
         literals: per-pattern prefilter contracts
             (:class:`repro.compiler.prefilter.PatternLiterals`; ``None``
             entries stay always-on).  Empty when unknown, which disables
@@ -196,23 +196,6 @@ class FusedAutomaton:
         base, end = self.pattern_slice(pattern_id)
         return ((1 << (end - base)) - 1) << base
 
-    def matcher(
-        self,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
-        table_states: int = DEFAULT_TABLE_STATES,
-        table_bytes: Optional[int] = None,
-        prefilter: bool = True,
-    ) -> "FusedMatcher":
-        return FusedMatcher(
-            self,
-            cache_size=cache_size,
-            cache_bytes=cache_bytes,
-            table_states=table_states,
-            table_bytes=table_bytes,
-            prefilter=prefilter,
-        )
-
 
 def fuse_nfas(
     nfas: Sequence[NFA],
@@ -259,87 +242,6 @@ def fuse_nfas(
         eoi_finals=eoi_finals,
         adjust_finals=adjust_finals,
     )
-
-
-def append_nfas(
-    fused: FusedAutomaton,
-    nfas: Sequence[NFA],
-    sources: Optional[Sequence[str]] = None,
-    literals: Optional[Sequence[Optional[PatternLiterals]]] = None,
-) -> FusedAutomaton:
-    """A new :class:`FusedAutomaton` with ``nfas`` appended as new patterns.
-
-    The incremental counterpart of :func:`fuse_nfas`: every existing
-    combined state keeps its index (only new states are added at the
-    end), so an in-flight active mask from the old automaton remains
-    valid against the new one — appended patterns simply start from the
-    empty activation.  The input ``fused`` is not modified.
-    """
-    classes = list(fused.classes)
-    transitions = list(fused.transitions)
-    initial = set(fused.initial)
-    state_pattern = list(fused.state_pattern)
-    finals = dict(fused.finals)
-    offsets = list(fused.offsets)
-    combined_nfas = list(fused.nfas)
-    boi = set(fused.boi)
-    eoi_finals = dict(fused.eoi_finals)
-    adjust_finals = dict(fused.adjust_finals)
-    for nfa in nfas:
-        pattern_id = len(offsets)
-        base = len(classes)
-        offsets.append(base)
-        classes.extend(nfa.classes)
-        transitions.extend(
-            [base + dst for dst in dsts] for dsts in nfa.transitions
-        )
-        initial.update(base + state for state in nfa.initial)
-        state_pattern.extend([pattern_id] * nfa.num_states)
-        for state in nfa.final:
-            finals[base + state] = pattern_id
-        boi.update(base + state for state in nfa.boi)
-        for state in nfa.eoi:
-            eoi_finals[base + state] = pattern_id
-        for state in nfa.adjust:
-            adjust_finals[base + state] = pattern_id
-        combined_nfas.append(nfa)
-    out = FusedAutomaton(
-        classes=classes,
-        transitions=transitions,
-        initial=initial,
-        state_pattern=state_pattern,
-        finals=finals,
-        offsets=offsets,
-        nfas=combined_nfas,
-        boi=boi,
-        eoi_finals=eoi_finals,
-        adjust_finals=adjust_finals,
-    )
-    if fused.sources or sources is not None:
-        old_sources = (
-            list(fused.sources)
-            if fused.sources
-            else ["unknown"] * fused.num_patterns
-        )
-        new_sources = (
-            list(sources) if sources is not None else ["unknown"] * len(nfas)
-        )
-        if len(new_sources) != len(nfas):
-            raise ValueError("sources and nfas must align")
-        out.sources = old_sources + new_sources
-    if fused.literals or literals is not None:
-        old_literals = (
-            list(fused.literals)
-            if fused.literals
-            else [None] * fused.num_patterns
-        )
-        new_literals = (
-            list(literals) if literals is not None else [None] * len(nfas)
-        )
-        if len(new_literals) != len(nfas):
-            raise ValueError("literals and nfas must align")
-        out.literals = old_literals + new_literals
-    return out
 
 
 def subset_fused(fused: FusedAutomaton, keep: Sequence[int]) -> FusedAutomaton:
@@ -390,10 +292,25 @@ def remap_active(fused: FusedAutomaton, keep: Sequence[int], active: int) -> int
     return new_active
 
 
-def fuse_patterns(compiled: Sequence[CompiledRegex]) -> FusedAutomaton:
-    """Fuse a whole compiled pattern set (see module docstring)."""
+def fuse_patterns(
+    compiled: Sequence[CompiledRegex], base: Optional[FusedAutomaton] = None
+) -> FusedAutomaton:
+    """Fuse a whole compiled pattern set (see module docstring).
+
+    With ``base``, its retained patterns come first and keep their
+    combined state indices, so an in-flight activation of ``base`` stays
+    valid and the appended patterns start from the empty activation
+    (incremental ``add_patterns``).  ``base`` is not modified.
+    """
     nfas: List[NFA] = []
     sources: List[str] = []
+    literals: List[Optional[PatternLiterals]] = []
+    if base is not None:
+        # A base fused without provenance or prefilter contracts (plain
+        # fuse_nfas) keeps its slots "unknown" and always-on.
+        nfas = list(base.nfas)
+        sources = list(base.sources) or ["unknown"] * len(nfas)
+        literals = list(base.literals) or [None] * len(nfas)
     for regex in compiled:
         nfas.append(build_scan_nfa(regex))
         # Anchored patterns execute the gated per-variant unfolded union
@@ -403,7 +320,8 @@ def fuse_patterns(compiled: Sequence[CompiledRegex]) -> FusedAutomaton:
             if regex.anchors is None and is_counter_free(regex.ah)
             else "unfolded"
         )
-    fused = fuse_nfas(nfas, literals=[regex.literals for regex in compiled])
+        literals.append(regex.literals)
+    fused = fuse_nfas(nfas, literals=literals)
     fused.sources = sources
     return fused
 
@@ -984,11 +902,6 @@ class FusedMatcher:
         """
         self.active, report, _report_adj = self._advance(self.active, symbol)
         return bool(report)
-
-    def step_report(self, symbol: int) -> Tuple[int, ...]:
-        """Consume one symbol; the pattern ids whose match ends here."""
-        self.active, report, _report_adj = self._advance(self.active, symbol)
-        return report
 
     def feed(self, data: bytes) -> List[Tuple[int, int]]:
         """Scan a chunk from the current state.

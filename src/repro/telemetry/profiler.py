@@ -19,13 +19,21 @@ hardware.  This module is the software lens for the same question:
   transition-equivalence classes (identical fused match masks), each
   with its sampled mean step cost.
 
-Sampling happens every ``stride`` bytes, so the profiled loop does the
-normal :meth:`~repro.matching.fused.FusedMatcher._advance` work plus a
-clock read and an O(num_patterns) mask decomposition once per stride —
-a few percent at the default stride of 64.  When no profiler is active
-the engines never reach this module: the scan path pays only the single
-``profiling_enabled()`` check it already shares with telemetry, and the
-disabled-overhead guard covers it.
+Sampling happens every ``stride`` bytes: the stretches between samples
+go through the matcher's own
+:meth:`~repro.matching.fused.FusedMatcher.feed`, and each sampled byte
+costs one timed step plus an O(num_patterns) mask decomposition.  That
+is far from free, because each ``stride - 1``-byte feed arms the
+prefilter's end-of-chunk tail window again, so most of the skipped and
+unarmed bytes that carry a plain scan are lost.  At the default stride
+of 64, 256 KiB scans on a 2-vCPU host read 4.6-6.4x slower than a
+plain scan on RegexLib-64 and 11-19x slower on RegexLib-16 (best of 5
+repeats, five runs), whose plain scan skips 99% of its bytes (17% when
+profiled, with 80% armed).
+Profile to see where a scan's time goes, not to time it.  When no
+profiler is active the engines never reach this module: the scan path
+pays only the single ``profiling_enabled()`` check it already shares
+with telemetry, and the disabled-overhead guard covers it.
 
 Typical use (the ``profile`` CLI verb wraps exactly this)::
 
@@ -49,9 +57,9 @@ from .._bits import popcount
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-#: Default sampling stride in bytes.  64 keeps the profiled loop within
-#: a few percent of the plain loop while sampling a 16 KiB input 256
-#: times — plenty for shares and heatmaps.
+#: Default sampling stride in bytes: a 16 KiB input is sampled 256
+#: times, plenty for shares and heatmaps.  The profiled scan runs several
+#: times slower than a plain one (see the module docstring).
 DEFAULT_STRIDE = 64
 
 #: Default number of offset buckets in the activation heatmap.

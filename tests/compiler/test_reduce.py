@@ -28,6 +28,7 @@ from repro.compiler import (
     reduce_ah,
     reduce_nfa,
 )
+from repro.compiler import reduce as reduce_module
 from repro.compiler.pipeline import build_unfolded_nfa
 from repro.matching import ENGINES, PatternSet
 from repro.regex.generate import random_regex
@@ -221,6 +222,68 @@ class TestReduceNFA:
         assert reduced.num_states < plain.num_states
         data = b"abd" + b"z" * 5 + b"cbd"
         assert reduced.match_ends(data) == plain.match_ends(data)
+
+
+def _fixpoint_refine(seeds, adjacency, frozen):
+    """Reference partition: split every block by its states' adjacent
+    block sets, one pass over all edges per round, until none splits."""
+    block_of = [
+        ("frozen", q) if frozen[q] else ("seed", seeds[q])
+        for q in range(len(seeds))
+    ]
+    while True:
+        refined = [
+            (block_of[q], frozenset(block_of[n] for n in adjacency[q]))
+            for q in range(len(seeds))
+        ]
+        if len(set(refined)) == len(set(block_of)):
+            break
+        block_of = refined
+    blocks = {}
+    for q, block in enumerate(block_of):
+        blocks.setdefault(block, []).append(q)
+    return sorted(blocks.values())
+
+
+class TestRefine:
+    """The worklist partition refinement behind both quotients."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_fixpoint_reference(self, seed):
+        """Random graphs with duplicate edges, self loops and frozen
+        states: the same coarsest stable partition as the reference."""
+        rng = random.Random(seed)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            adjacency = [
+                [rng.randrange(n) for _ in range(rng.randint(0, 4))]
+                for _ in range(n)
+            ]
+            seeds = [rng.randrange(3) for _ in range(n)]
+            frozen = [rng.random() < 0.15 for _ in range(n)]
+            assert reduce_module._refine(
+                seeds, adjacency, frozen
+            ) == _fixpoint_refine(seeds, adjacency, frozen)
+
+    def test_hash_collision_is_retried(self, monkeypatch):
+        """A salt under which every block hash collides leaves a block
+        unstable; the final check rejects it and the next salt refines
+        exactly."""
+        real = reduce_module._block_hash
+        salts = []
+
+        def colliding(block_id, salt):
+            salts.append(salt)
+            return 0 if salt == 0 else real(block_id, salt)
+
+        monkeypatch.setattr(reduce_module, "_block_hash", colliding)
+        # A chain of three same-class states into a final one: every
+        # state is distinguishable by its distance to the final state.
+        blocks = reduce_module._refine(
+            [0, 0, 0, 1], [[1], [2], [3], []], [False] * 4
+        )
+        assert blocks == [[0], [1], [2], [3]]
+        assert max(salts) == 1
 
 
 # --- property fuzz: reduced pipeline == unreduced pipeline --------------

@@ -53,6 +53,24 @@ class TestFusion:
         fused = fuse_patterns(compile_all(["abc", "a.{6}b"]))
         assert fused.sources == ["ah", "unfolded"]
 
+    def test_base_patterns_come_first(self):
+        """Fusing onto ``base`` equals fusing the whole set at once."""
+        compiled = compile_all(["ab{3}c", "x[0-9]y", "q+r"])
+        whole = fuse_patterns(compiled)
+        appended = fuse_patterns(compiled[1:], base=fuse_patterns(compiled[:1]))
+        assert appended.transitions == whole.transitions
+        assert appended.sources == whole.sources
+        assert appended.literals == whole.literals
+        # A base without provenance or literal contracts (plain
+        # fuse_nfas) keeps its slot "unknown" and always-on.
+        bare = fuse_patterns(
+            compiled[1:], base=fuse_nfas([build_scan_nfa(compiled[0])])
+        )
+        assert bare.sources == ["unknown"] + whole.sources[1:]
+        assert bare.literals == [None] + whole.literals[1:]
+        data = b"abbbc x5y qqr"
+        assert FusedMatcher(bare).scan(data) == FusedMatcher(whole).scan(data)
+
     def test_empty_pattern_set(self):
         matcher = FusedMatcher(fuse_nfas([]))
         assert matcher.scan(b"anything") == []
@@ -94,13 +112,17 @@ class TestFusedMatcher:
         stepper = build_fused(compiled)
         feeder = build_fused(compiled)
         data = b"abbc ba abbbc"
-        expected = feeder.scan(data)
+        feeder.reset()
+        expected = sorted({end for _slot, end in feeder.feed(data)})
         stepper.reset()
-        got = []
-        for offset, symbol in enumerate(data):
-            for pattern_id in stepper.step_report(symbol):
-                got.append((pattern_id, offset))
+        got = [
+            offset for offset, symbol in enumerate(data)
+            if stepper.step(symbol)
+        ]
         assert got == expected
+        # step() is the per-byte bitset tier: one LRU probe per byte.
+        info = stepper.cache_info()
+        assert info["hits"] + info["misses"] == len(data)
 
     def test_streaming_state_persists_across_feeds(self):
         matcher = build_fused(compile_all(["ab{3}c"]))
@@ -189,8 +211,12 @@ class TestPatternSetIntegration:
             ps.scan(b"aab")
             snap = telemetry.snapshot()
         occupancy = snap["histograms"]["engine.active_states"]
-        assert occupancy["count"] == 3
-        assert snap["counters"]["engine.fused.cache_misses"] > 0
+        assert occupancy["count"] == 1  # one observation per feed block
+        counters = snap["counters"]
+        assert counters["engine.fused.table_misses"] > 0
+        # Instrumented scans run the table tier: no LRU probe.
+        assert counters["engine.fused.cache_hits"] == 0
+        assert counters["engine.fused.cache_misses"] == 0
 
 
 class TestTableBlowup:

@@ -112,19 +112,31 @@ def _assert_flushed(matcher):
     assert info["live"] and info["fallbacks"] == 0
 
 
+def _assert_every_byte_counted(matcher, fed):
+    """Each fed byte is served once: by the table, by the bitset step,
+    or skipped by the prefilter."""
+    info = matcher.table_info()
+    served = info["steps_table"] + info["steps_bitset"]
+    assert served + info["skipped_bytes"] == fed
+
+
 def test_golden_corpus_fused_tiers_byte_identical(always_flush):
     compiled = _compile_corpus()
     data = _corpus_stream()
-    expected = build_fused(compiled, table_states=0, prefilter=False).scan(data)
+    bitset = build_fused(compiled, table_states=0, prefilter=False)
+    expected = bitset.scan(data)
     assert expected  # the combined stream must exercise matches
     table = build_fused(compiled, prefilter=False)
     assert table.scan(data) == expected
     assert table.table_info()["live"]
     prefiltered = build_fused(compiled)
     assert prefiltered.scan(data) == expected
-    for flushing in _flushing_tiers(compiled):
+    flushing_tiers = _flushing_tiers(compiled)
+    for flushing in flushing_tiers:
         assert flushing.scan(data) == expected
         _assert_flushed(flushing)
+    for matcher in (bitset, table, prefiltered, *flushing_tiers):
+        _assert_every_byte_counted(matcher, len(data))
 
 
 @pytest.mark.parametrize("chunk", (1, 3, 7, 16))
@@ -146,6 +158,7 @@ def test_golden_corpus_chunked_feed_straddles_windows(chunk, always_flush):
             for slot, end in matcher.feed(data[start:start + chunk]):
                 got.append((slot, start + end))
         assert got == expected, chunk
+        _assert_every_byte_counted(matcher, len(data))
     for matcher in flushing:
         _assert_flushed(matcher)
 

@@ -5,7 +5,7 @@ fast path, so scanning with telemetry off must stay within a small
 factor of an un-instrumented copy of that loop timed in the same test
 run (same machine, same load, interleaved samples).  The same contract
 covers the flight recorder and the scan-path profiler: all three share
-the per-chunk enablement check in ``_feed_block``.
+the per-call enablement check in ``PatternSet.feed``.
 """
 
 from repro import telemetry
