@@ -26,7 +26,7 @@ Quickstart::
 
 from . import telemetry
 from .compiler import CompilerOptions, compile_pattern, compile_ruleset
-from .matching import DegradationPolicy, Match, PatternSet
+from .matching import Match, PatternSet
 from .resilience import (
     Budget,
     BudgetExceededError,
@@ -46,7 +46,6 @@ __all__ = [
     "CapacityError",
     "CompileReport",
     "CompilerOptions",
-    "DegradationPolicy",
     "Match",
     "PatternSet",
     "ReproError",

@@ -208,3 +208,23 @@ def _build_match_masks(classes: Sequence[CharClass]) -> List[int]:
 build_match_masks = _build_match_masks
 states_to_mask = _to_mask
 mask_to_states = _from_mask
+
+
+def byte_class_ids(match_masks: Sequence[int]) -> Tuple[List[int], int]:
+    """Group the 256 symbols into transition-equivalence classes.
+
+    Two bytes belong to the same class iff they select the same match
+    mask (:func:`build_match_masks`) — they are indistinguishable to the
+    automaton, so the fused engine's dense table keys its rows on the
+    class and the profiler pools their stepping cost.  Returns
+    ``(class_of_byte, num_classes)`` with class ids assigned in
+    first-appearance order.
+    """
+    ids: Dict[int, int] = {}
+    out: List[int] = []
+    for mask in match_masks:
+        class_id = ids.get(mask)
+        if class_id is None:
+            class_id = ids[mask] = len(ids)
+        out.append(class_id)
+    return out, len(ids)

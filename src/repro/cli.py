@@ -682,7 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("patterns", nargs="+")
     p_scan.add_argument("-i", "--input", default="-",
                         help="input file ('-' = stdin)")
-    p_scan.add_argument("--engine", default="ah", choices=ENGINES)
+    p_scan.add_argument("--engine", default="fused", choices=ENGINES,
+                        help="scan engine (default: fused; ah, nbva, nca "
+                             "and nfa are the paper-model references)")
     p_scan.add_argument("--shards", type=int, default=None,
                         help="worker processes for --engine sharded "
                              "(default: one per CPU core)")

@@ -1,12 +1,6 @@
 """Software matching engines and the brute-force consistency oracle."""
 
-from .engine import (
-    ENGINES,
-    DegradationEvent,
-    DegradationPolicy,
-    Match,
-    PatternSet,
-)
+from .engine import ENGINES, Match, PatternSet
 from .fused import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_CACHE_SIZE,
@@ -40,8 +34,6 @@ __all__ = [
     "DEFAULT_TABLE_STATES",
     "DEFAULT_CHUNK_BYTES",
     "ENGINES",
-    "DegradationEvent",
-    "DegradationPolicy",
     "FusedAutomaton",
     "FusedMatcher",
     "Match",

@@ -1,25 +1,27 @@
 """High-level pattern-matching API over the compiled automata.
 
 :class:`PatternSet` is the library's front door: compile a list of PCRE
-patterns once, then scan byte streams with any of the five execution
+patterns once, then scan byte streams with any of the six execution
 engines (functional models, not the cycle-accurate simulator):
 
-* ``"ah"``    — AH-NBVA, the model BVAP executes (default);
+* ``"fused"`` — all patterns merged into one shared state space and
+  advanced through a dense transition table, falling back to a single
+  bitset step per byte (:mod:`repro.matching.fused`) — the fast
+  software scan path (default);
+* ``"ah"``    — AH-NBVA, the model BVAP executes;
 * ``"nbva"``  — the pre-transformation NBVA (naïve design, Fig. 3(b));
 * ``"nca"``   — counter automaton with explicit counter-value sets;
 * ``"nfa"``   — fully unfolded Glushkov NFA (the baselines' model);
-* ``"fused"`` — all patterns merged into one shared state space and
-  advanced with a single bitset step per byte plus a lazy-DFA successor
-  cache (:mod:`repro.matching.fused`) — the fast software scan path;
 * ``"sharded"`` — the pattern set cost-partitioned onto K worker
   processes, each running a fused shard over broadcast input chunks,
   merged deterministically (:mod:`repro.matching.sharded`) — the
   multi-core scan path.
 
-The first four step each pattern's matcher independently; ``"fused"``
-executes the whole set at once and ``"sharded"`` spreads it over
-processes.  All six produce identical match streams; the test suite
-enforces this and checks them against the brute-force oracle.
+``"fused"`` executes the whole set at once and ``"sharded"`` spreads it
+over processes; the four paper-model engines step each pattern's
+matcher independently and stay available as explicit references.  All
+six produce identical match streams; the test suite enforces this and
+checks them against the brute-force oracle.
 
 Resilience hooks (:mod:`repro.resilience`):
 
@@ -29,12 +31,7 @@ Resilience hooks (:mod:`repro.resilience`):
   keep their original pattern ids in reported matches;
 * a :class:`~repro.resilience.budget.Budget` with ``deadline_s`` makes
   every engine check the wall clock every ``check_bytes`` scanned bytes
-  and raise ``BudgetExceededError`` cooperatively;
-* a :class:`DegradationPolicy` lets the fused engine shed patterns at
-  run time: when the lazy-DFA cache thrashes or the combined active
-  mask grows too wide, the widest-active pattern is demoted onto a
-  per-pattern fallback engine (state-preserving for ``"nfa"``) and the
-  fused automaton is rebuilt without it.
+  and raise ``BudgetExceededError`` cooperatively.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .. import telemetry
 from ..telemetry import flight, profiler
-from .._bits import popcount
 from ..automata.nca import NCAMatcher
 from ..compiler.pipeline import (
     CompiledRegex,
@@ -55,10 +51,7 @@ from ..compiler.pipeline import (
     compile_pattern_isolated,
 )
 from ..resilience.budget import Budget
-from ..resilience.report import (
-    STATUS_DEGRADED,
-    CompileReport,
-)
+from ..resilience.report import CompileReport
 from .fused import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_CACHE_SIZE,
@@ -77,16 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ENGINES = ("ah", "nbva", "nca", "nfa", "fused", "sharded")
 
 ON_ERROR_MODES = ("raise", "quarantine")
-
-#: ``engine.fused.*`` telemetry counters and the :class:`FusedMatcher`
-#: attributes whose per-feed deltas they accumulate.
-_FUSED_COUNTERS = (
-    ("engine.fused.cache_hits", "cache_hits"),
-    ("engine.fused.cache_misses", "cache_misses"),
-    ("engine.fused.table_hits", "table_hits"),
-    ("engine.fused.table_misses", "table_misses"),
-    ("engine.fused.skipped_bytes", "prefilter_skipped"),
-)
 
 
 def _per_pattern_events(
@@ -128,72 +111,12 @@ class Match:
     end: int  # 0-based index of the last matched byte
 
 
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """When and how the fused engine sheds patterns at run time.
-
-    Checked every ``check_bytes`` scanned bytes.  Two triggers:
-
-    * *cache thrash* — the successor cache is full
-      (:meth:`~repro.matching.fused.FusedMatcher.cache_full`) and the
-      hit rate over the last window dropped below ``min_hit_rate``.
-      The cache is the bitset tier's LRU, which serves bytes only once
-      the dense table is off or abandoned (and per-byte steps): table
-      fills bypass it, and a full table flushes instead of thrashing;
-    * *wide activation* — the combined active mask covers more than
-      ``max_active_fraction`` of a fused space of at least
-      ``min_states_for_width`` states, so every step pays near-worst-case
-      big-int work and the cache cannot help.
-
-    Either way the pattern with the widest active slice is demoted onto
-    the first workable engine in ``fallback_chain`` and the fused
-    automaton is rebuilt without it.  The rebuilt set keeps the
-    prefilter and the dense table; only the demoted pattern steps one
-    byte at a time.  The ``"nfa"`` fallback transfers
-    the pattern's live state bits, so no in-flight match is lost; other
-    engines restart the pattern from the empty activation.
-    """
-
-    check_bytes: int = 4096
-    min_window: int = 1024
-    min_hit_rate: float = 0.5
-    max_active_fraction: float = 0.75
-    min_states_for_width: int = 64
-    fallback_chain: Tuple[str, ...] = ("nfa",)
-    max_demotions: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.check_bytes < 1:
-            raise ValueError("check_bytes must be >= 1")
-        if self.min_window < 1:
-            raise ValueError("min_window must be >= 1")
-        if not 0.0 <= self.min_hit_rate <= 1.0:
-            raise ValueError("min_hit_rate must be in [0, 1]")
-        if not 0.0 < self.max_active_fraction <= 1.0:
-            raise ValueError("max_active_fraction must be in (0, 1]")
-        if not self.fallback_chain:
-            raise ValueError("fallback_chain must name at least one engine")
-        for engine in self.fallback_chain:
-            if engine not in ENGINES or engine == "fused":
-                raise ValueError(
-                    f"fallback_chain entries must be per-pattern engines, "
-                    f"got {engine!r}"
-                )
-        if self.max_demotions is not None and self.max_demotions < 0:
-            raise ValueError("max_demotions must be >= 0 or None")
-
-
-@dataclass(frozen=True)
-class DegradationEvent:
-    """One runtime demotion: which pattern fell back to which engine."""
-
-    pattern_id: int
-    engine: str
-    reason: str  # "cache_thrash" or "wide_active"
-
-
 class PatternSet:
     """A set of compiled patterns with a uniform scanning interface.
+
+    ``engine`` defaults to ``"fused"``, the fast scan path; name
+    ``"ah"``, ``"nbva"``, ``"nca"`` or ``"nfa"`` to step each pattern on
+    its paper-model matcher instead (same match stream, far slower).
 
     >>> ps = PatternSet(["ab{3}c", "xy"])
     >>> [(m.pattern_id, m.end) for m in ps.scan(b"zabbbc xy")]
@@ -214,10 +137,9 @@ class PatternSet:
         self,
         patterns: Sequence[str],
         options: CompilerOptions = CompilerOptions(),
-        engine: str = "ah",
+        engine: str = "fused",
         budget: Optional[Budget] = None,
         on_error: str = "raise",
-        degradation: Optional[DegradationPolicy] = None,
         shards: Optional[int] = None,
         shard_backend: str = "process",
         cache: "Optional[CompileCache]" = None,
@@ -235,27 +157,20 @@ class PatternSet:
         self.engine = engine
         self.budget = options.budget
         self.on_error = on_error
-        self.degradation = degradation
         self._cache = cache
         self.reports: List[CompileReport] = []
-        self.degradations: List[DegradationEvent] = []
         self.compiled: List[CompiledRegex] = []
         self._pattern_ids: List[int] = []
         self._next_id = len(patterns)
         self._compile(patterns)
-        self._demoted: List[Tuple[int, object]] = []
-        self._deg_hits = 0
-        self._deg_misses = 0
         self._fused: Optional[FusedMatcher] = None
         self._fused_ids: List[int] = []
-        self._fused_compiled: List[CompiledRegex] = []
         self._sharded: Optional[ShardedScanner] = None
         self._prefilter = bool(prefilter)
         self._stream_len = 0
         if engine == "fused":
             self._fused = self._build_fused_matcher(fuse_patterns(self.compiled))
             self._fused_ids = list(self._pattern_ids)
-            self._fused_compiled = list(self.compiled)
             self._matchers = []
         elif engine == "sharded":
             cache_bytes = self.budget.max_cache_bytes or DEFAULT_CACHE_BYTES
@@ -320,9 +235,6 @@ class PatternSet:
         self._fused_ids = [self._fused_ids[s] for s in keep] + [
             c.regex_id for c in added
         ]
-        self._fused_compiled = [self._fused_compiled[s] for s in keep] + list(
-            added
-        )
 
     # -- compilation ---------------------------------------------------
 
@@ -382,8 +294,7 @@ class PatternSet:
             telemetry.registry().counter("compile.quarantined").inc(quarantined)
         return fresh
 
-    def _make_matcher(self, compiled: CompiledRegex, engine: Optional[str] = None):
-        engine = engine or self.engine
+    def _make_matcher(self, compiled: CompiledRegex):
         if compiled.anchors is not None:
             # Anchor gates are positional (stream offset 0 / end of
             # input); the per-pattern step engines have no notion of
@@ -391,11 +302,11 @@ class PatternSet:
             # pattern on a single-pattern fused matcher driven through
             # feed()/finish().
             return self._build_fused_matcher(fuse_patterns([compiled]))
-        if engine == "ah":
+        if self.engine == "ah":
             return compiled.ah.matcher()
-        if engine == "nbva":
+        if self.engine == "nbva":
             return compiled.nbva.matcher()
-        if engine == "nca":
+        if self.engine == "nca":
             return NCAMatcher(compiled.nbva)
         return build_unfolded_nfa(compiled.parsed).matcher()
 
@@ -461,9 +372,6 @@ class PatternSet:
             if engine_present:
                 self._sharded.remove_patterns(sorted(engine_present))
         elif self._fused is not None:
-            self._demoted = [
-                (pid, m) for pid, m in self._demoted if pid not in remove
-            ]
             keep_slots = [
                 slot for slot, pid in enumerate(self._fused_ids)
                 if pid not in remove
@@ -493,8 +401,6 @@ class PatternSet:
             return
         if self._fused is not None:
             self._fused.reset()
-            for _pattern_id, matcher in self._demoted:
-                matcher.reset()
             return
         for matcher in self._matchers:
             matcher.reset()
@@ -564,10 +470,7 @@ class PatternSet:
         i.e. the previous chunk's final byte.  Anchored sets defer their
         ``$`` matches — call :meth:`finish` once the stream ends to
         collect them.  With a ``deadline_s`` budget the clock starts at
-        each call and
-        is checked every ``check_bytes`` bytes; with a
-        :class:`DegradationPolicy` the fused engine re-evaluates its
-        thrash/width triggers on the same cadence.
+        each call and is checked every ``check_bytes`` bytes.
         """
         self._stream_len += len(data)
         feed_block = (
@@ -580,21 +483,14 @@ class PatternSet:
         clock = (
             self.budget.start() if self.budget.deadline_s is not None else None
         )
-        degrade = self._fused is not None and self.degradation is not None
-        if clock is None and not degrade:
+        if clock is None:
             return feed_block(data, 0)
         step = self.budget.check_bytes
-        if degrade:
-            step = min(step, self.degradation.check_bytes)
         out: List[Match] = []
         for base in range(0, len(data), step):
-            if clock is not None:
-                clock.check("scan")
-            out.extend(feed_block(data[base : base + step], base))
-            if degrade:
-                self._maybe_degrade()
-        if clock is not None:
             clock.check("scan")
+            out.extend(feed_block(data[base : base + step], base))
+        clock.check("scan")
         return out
 
     def finish(self) -> List[Match]:
@@ -631,8 +527,8 @@ class PatternSet:
     ) -> List[Match]:
         """One uninterrupted stretch of the feed loop, and the one scan
         dispatch, instrumented or not: the sharded scanner, the fused
-        matcher (sampled by ``prof`` when profiling) merged with any
-        demoted patterns, or the per-pattern matchers."""
+        matcher (sampled by ``prof`` when profiling), or the per-pattern
+        matchers."""
         if self._sharded is not None:
             return [
                 Match(pattern_id, base + end)
@@ -641,43 +537,35 @@ class PatternSet:
         fused = self._fused
         if fused is not None:
             ids = self._fused_ids
-            fused_events = (
+            events = (
                 fused.feed(data) if prof is None
                 else prof.feed(fused, data, ids)
             )
-            if not self._demoted:
-                return [
-                    Match(ids[slot], base + offset)
-                    for slot, offset in fused_events
-                ]
-            events = [
-                (base + offset, ids[slot]) for slot, offset in fused_events
-            ]
-            events.extend(_per_pattern_events(data, base, self._demoted))
-        else:
-            events = _per_pattern_events(
-                data, base, zip(self._pattern_ids, self._matchers)
-            )
+            return [Match(ids[slot], base + offset) for slot, offset in events]
+        events = _per_pattern_events(
+            data, base, zip(self._pattern_ids, self._matchers)
+        )
         events.sort()
         return [Match(pattern_id, end) for end, pattern_id in events]
 
     def _active_count(self) -> int:
-        """Active states summed over the fused matcher, the demoted and
-        the per-pattern matchers."""
-        matchers = [m for _pid, m in self._demoted] + self._matchers
+        """Active states of the fused matcher, or summed over the
+        per-pattern matchers."""
         if self._fused is not None:
-            matchers.append(self._fused)
-        return sum(m.active_count() for m in matchers)
+            return self._fused.active_count()
+        return sum(m.active_count() for m in self._matchers)
 
     def _feed_instrumented(self, data: bytes, base: int = 0) -> List[Match]:
         """:meth:`_feed_block` plus telemetry: the ``engine.feed`` span,
-        symbols scanned, matches emitted, the fused matcher's tier
-        counters as deltas, one active-state occupancy observation per
-        block (the activation left at its end), and the flight record."""
+        symbols scanned, matches emitted, the fused matcher's
+        :meth:`~repro.matching.fused.FusedMatcher.counters` as
+        ``engine.fused.<key>`` deltas, one active-state occupancy
+        observation per block (the activation left at its end), and the
+        flight record."""
         collect = telemetry.metrics_enabled()
         fused = self._fused
         if fused is not None:
-            before = [getattr(fused, attr) for _name, attr in _FUSED_COUNTERS]
+            before = fused.counters()
         with telemetry.span(
             "engine.feed", "engine", engine=self.engine, symbols=len(data)
         ) as sp:
@@ -688,8 +576,10 @@ class PatternSet:
             registry.counter("engine.symbols_scanned").inc(len(data))
             registry.counter("engine.matches_emitted").inc(len(out))
             if fused is not None:
-                for (name, attr), value in zip(_FUSED_COUNTERS, before):
-                    registry.counter(name).inc(getattr(fused, attr) - value)
+                for key, value in fused.counters().items():
+                    registry.counter(f"engine.fused.{key}").inc(
+                        value - before[key]
+                    )
             # Occupancy lives worker-side on the sharded engine; its
             # orchestrator records the scan.shard.* instruments itself.
             if data and self._sharded is None:
@@ -708,9 +598,7 @@ class PatternSet:
                 flight.note_state(
                     engine=self.engine,
                     active_states=self._active_count(),
-                    cache_hits=fused.cache_hits,
-                    cache_misses=fused.cache_misses,
-                    demoted=[pid for pid, _m in self._demoted],
+                    **fused.counters(),
                 )
             elif self._sharded is not None:
                 flight.note_state(
@@ -728,107 +616,6 @@ class PatternSet:
                     engine=self.engine, active_states=self._active_count()
                 )
         return out
-
-    # -- graceful degradation ------------------------------------------
-
-    def _maybe_degrade(self) -> None:
-        """Evaluate the degradation triggers at a chunk boundary."""
-        fused = self._fused
-        policy = self.degradation
-        if fused is None or policy is None or not self._fused_ids:
-            return
-        if (
-            policy.max_demotions is not None
-            and len(self.degradations) >= policy.max_demotions
-        ):
-            return
-        window_hits = fused.cache_hits - self._deg_hits
-        window_misses = fused.cache_misses - self._deg_misses
-        self._deg_hits = fused.cache_hits
-        self._deg_misses = fused.cache_misses
-        window = window_hits + window_misses
-        thrash = (
-            window >= policy.min_window
-            and fused.cache_full()
-            and window_hits < policy.min_hit_rate * window
-        )
-        num_states = fused.fused.num_states
-        wide = (
-            num_states >= policy.min_states_for_width
-            and fused.active_count() >= policy.max_active_fraction * num_states
-        )
-        if thrash or wide:
-            self._demote_widest("cache_thrash" if thrash else "wide_active")
-
-    def _demote_widest(self, reason: str) -> None:
-        fused = self._fused
-        automaton = fused.fused
-        active = fused.active
-        best_slot, best_width = 0, -1
-        for slot in range(len(self._fused_ids)):
-            if self._fused_compiled[slot].anchors is not None:
-                # Anchored slots stay fused: the per-pattern fallback
-                # engines cannot honour positional gates, and the gated
-                # slice drains to a near-empty activation anyway.
-                continue
-            width = popcount(active & automaton.pattern_mask(slot))
-            if width > best_width:
-                best_slot, best_width = slot, width
-        if best_width < 0:
-            return
-        self._demote(best_slot, reason)
-
-    def _demote(self, slot: int, reason: str) -> None:
-        """Move one fused slot onto a per-pattern fallback engine and
-        rebuild the fused automaton without it."""
-        fused = self._fused
-        automaton = fused.fused
-        pattern_id = self._fused_ids[slot]
-        compiled = self._fused_compiled[slot]
-        base, end = automaton.pattern_slice(slot)
-        local_active = (fused.active >> base) & ((1 << (end - base)) - 1)
-        matcher = None
-        engine_used = None
-        for engine in self.degradation.fallback_chain:
-            try:
-                if engine == "nfa" and automaton.nfas:
-                    # The fused slice IS this pattern's scan-NFA activation,
-                    # so the handoff preserves every in-flight partial match.
-                    matcher = automaton.nfas[slot].matcher()
-                    matcher.reset()
-                    matcher.active = local_active
-                else:
-                    matcher = self._make_matcher(compiled, engine)
-                    matcher.reset()  # fresh state: in-flight partials drop
-                engine_used = engine
-                break
-            except ValueError:
-                matcher = None
-        if matcher is None:
-            return  # nothing in the chain can host it; stay fused
-        keep = [i for i in range(len(self._fused_ids)) if i != slot]
-        self._rebuild_fused(subset_fused(automaton, keep), keep)
-        self._demoted.append((pattern_id, matcher))
-        self._demoted.sort(key=lambda item: item[0])
-        self._deg_hits = 0
-        self._deg_misses = 0
-        self.degradations.append(
-            DegradationEvent(pattern_id=pattern_id, engine=engine_used, reason=reason)
-        )
-        for report in self.reports:
-            if report.pattern_id == pattern_id:
-                report.status = STATUS_DEGRADED
-                report.phase = "scan"
-                break
-        if telemetry.metrics_enabled():
-            telemetry.registry().counter("scan.degraded").inc()
-        if flight.flight_enabled():
-            flight.record(
-                "degradation",
-                pattern_id=pattern_id,
-                engine=engine_used,
-                reason=reason,
-            )
 
     # -- conveniences --------------------------------------------------
 

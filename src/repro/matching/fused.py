@@ -64,11 +64,16 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from .. import telemetry
 from .._bits import popcount
 from ..automata.ah import is_counter_free
-from ..automata.nfa import NFA, build_match_masks, mask_to_states, states_to_mask
+from ..automata.nfa import (
+    NFA,
+    build_match_masks,
+    byte_class_ids,
+    mask_to_states,
+    states_to_mask,
+)
 from ..compiler.pipeline import CompiledRegex, build_scan_nfa
 from ..compiler.prefilter import PatternLiterals
 from ..telemetry import flight
-from ..telemetry.profiler import byte_class_ids
 
 #: Default bound on the bitset tier's lazy-DFA successor cache.  Entries
 #: are a handful of Python ints each; 1<<15 keeps even adversarial
@@ -141,8 +146,8 @@ class FusedAutomaton:
             counter-free AH-NBVA graph was reused, ``"unfolded"`` for
             the Glushkov fallback.
         nfas: the original per-pattern NFAs (kept so the set can be
-            re-fused without recompiling: a pattern peeled back out for
-            runtime demotion or removal, or new patterns appended).
+            re-fused without recompiling: a pattern removed, or new
+            patterns appended).
         literals: per-pattern prefilter contracts
             (:class:`repro.compiler.prefilter.PatternLiterals`; ``None``
             entries stay always-on).  Empty when unknown, which disables
@@ -267,7 +272,7 @@ def remap_slot_mask(mask: int, keep: Sequence[int]) -> int:
     Bit ``keep[i]`` of ``mask`` becomes bit ``i``; dropped slots' bits
     vanish.  Used to carry :class:`FusedMatcher` stream bookkeeping that
     is indexed by pattern slot (``_tail_emits``) across incremental
-    removes and runtime demotions.
+    removes.
     """
     out = 0
     for index, slot in enumerate(keep):
@@ -1080,17 +1085,25 @@ class FusedMatcher:
             "byte_capacity": self._cache_byte_limit,
         }
 
-    def cache_full(self) -> bool:
-        """True once either cache bound (entries or bytes) is saturated.
-
-        Used by degradation policies: a low hit rate only signals thrash
-        when the cache has actually filled — cold caches miss by design —
-        and only the bitset tier fills it.
-        """
-        return (
-            len(self._cache) >= self._cache_size
-            or self._cache_bytes >= self._cache_byte_limit
-        )
+    def counters(self) -> Dict[str, int]:
+        """The integer tier counts, cumulative since construction, under
+        the names telemetry publishes them (``engine.fused.<key>``,
+        ``scan.shard.<key>``): the one record instruments diff across a
+        feed.  ``steps_table + steps_bitset + skipped_bytes`` counts
+        every byte :meth:`feed` consumed."""
+        return {
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "table_hits": self.table_hits,
+            "table_misses": self.table_misses,
+            "table_promotes": self.table_promotes,
+            "table_flushes": self.table_flushes,
+            "table_fallbacks": self.table_fallbacks,
+            "steps_table": self.table_steps,
+            "steps_bitset": self.bitset_steps,
+            "skipped_bytes": self.prefilter_skipped,
+            "armed_bytes": self.prefilter_armed,
+        }
 
     def table_info(self) -> Dict[str, object]:
         """Dense-table tier statistics (telemetry / bench reporting)."""

@@ -240,11 +240,11 @@ class _ShardCommands:
     * ``("feed", seq, data, want_ckpt)`` -> ``("events", seq,
       [(pattern_id, end), ...], busy_s, stats, snapshot)`` —
       fused-engine feed over one chunk; end offsets are chunk-relative,
-      pattern ids are the *original* set ids.  ``stats`` is the shard's
-      cumulative telemetry snapshot (lazy-DFA cache hits/misses, dense
-      table hits/misses/flushes/fallbacks, symbols scanned) — seven ints
-      per reply, so shipping it costs nothing measurable, and the parent
-      merges the *deltas* into its registry under a ``shard`` label.
+      pattern ids are the *original* set ids.  ``stats`` is how far the
+      matcher's :meth:`~repro.matching.fused.FusedMatcher.counters` grew
+      over this chunk, plus the chunk's ``symbols`` — a dozen ints per
+      reply, so shipping it costs nothing measurable; the parent adds
+      it up and publishes it under a ``shard`` label.
       ``snapshot`` is the matcher's
       :meth:`~repro.matching.fused.FusedMatcher.state_snapshot` when the
       parent asked for a checkpoint (``want_ckpt``), else ``None``.
@@ -284,7 +284,6 @@ class _ShardCommands:
             prefilter=prefilter,
         )
         self.ids = list(report_ids)
-        self.symbols = 0
 
     def _scan(self, data: bytes) -> List[Tuple[int, int]]:
         return self.matcher.feed(data)
@@ -296,18 +295,14 @@ class _ShardCommands:
         if op == "feed":
             _, seq, data, want_ckpt = message
             started = time.perf_counter()
+            before = matcher.counters()
             ids = self.ids
             events = [(ids[slot], end) for slot, end in self._scan(data)]
-            self.symbols += len(data)
             stats = {
-                "cache_hits": matcher.cache_hits,
-                "cache_misses": matcher.cache_misses,
-                "table_hits": matcher.table_hits,
-                "table_misses": matcher.table_misses,
-                "table_flushes": matcher.table_flushes,
-                "table_fallbacks": matcher.table_fallbacks,
-                "symbols": self.symbols,
+                key: value - before[key]
+                for key, value in matcher.counters().items()
             }
+            stats["symbols"] = len(data)
             return (
                 "events",
                 seq,
@@ -482,17 +477,10 @@ class _Shard:
     alive: bool = True
     events_total: int = 0
     busy_s: float = 0.0
-    #: Latest cumulative telemetry snapshot shipped back by the shard
-    #: (cache hits/misses, symbols scanned) and the portion of it already
-    #: published into the parent registry — the difference is the delta
-    #: :meth:`ShardedScanner._record_metrics` merges under ``shard=N``.
+    #: The current worker's counters, summed from the per-chunk growth
+    #: each reply ships (see :meth:`ShardedScanner._absorb`); a replaced
+    #: worker starts again from empty.
     worker_stats: Dict[str, int] = field(default_factory=dict)
-    published_stats: Dict[str, int] = field(default_factory=dict)
-    #: Totals carried over from previous worker incarnations of this
-    #: shard; published totals are ``carry + worker_stats`` so the
-    #: ``scan.shard.<stat>{shard=N}`` deltas stay exact and monotone
-    #: across supervised restarts (no negative deltas, no double count).
-    stats_carry: Dict[str, int] = field(default_factory=dict)
     # Replies can momentarily run ahead of the collector when a chunk's
     # answer arrives while a later chunk is being sent; buffer by seq.
     pending: Dict[int, Tuple[Any, ...]] = field(default_factory=dict)
@@ -748,14 +736,6 @@ class ShardedScanner:
 
     # -- incremental updates -------------------------------------------
 
-    def _fold_stats(self, shard: _Shard) -> None:
-        """Fold the (dying) worker's cumulative totals into the shard's
-        carry, so published totals (``carry + worker_stats``) never move
-        backwards when the fresh worker restarts its counters at zero."""
-        for key, total in shard.worker_stats.items():
-            shard.stats_carry[key] = shard.stats_carry.get(key, 0) + total
-        shard.worker_stats = {}
-
     def _restart_shard(self, shard: _Shard) -> None:
         """Re-fuse one shard after its pattern list changed and relaunch
         only its backend.  The restarted shard resumes from the empty
@@ -766,7 +746,7 @@ class ShardedScanner:
         whose pattern list did not change."""
         shard.automaton = fuse_patterns(shard.compiled)
         shard.pending.clear()
-        self._fold_stats(shard)
+        shard.worker_stats = {}
         shard.ckpt = self._floor_checkpoint(shard)
         if self._started and shard.alive:
             self._stop_shard(shard)
@@ -848,8 +828,8 @@ class ShardedScanner:
 
     def _teardown_worker(self, shard: _Shard) -> None:
         """Kill one shard's worker process (SIGKILL — SIGTERM stays
-        pending on a SIGSTOPped worker) and fold its telemetry carry,
-        leaving the shard's plan/checkpoint bookkeeping alone."""
+        pending on a SIGSTOPped worker) and drop its counters, leaving
+        the shard's plan/checkpoint bookkeeping alone."""
         if shard.conn is not None:
             try:
                 shard.conn.close()
@@ -862,7 +842,7 @@ class ShardedScanner:
             shard.process.join(timeout=2.0)
             shard.process = None
         shard.pending.clear()
-        self._fold_stats(shard)
+        shard.worker_stats = {}
 
     @staticmethod
     def _exited(shard: _Shard) -> bool:
@@ -920,12 +900,20 @@ class ShardedScanner:
         reply: Tuple[Any, ...],
         gathered: List[Tuple[int, int]],
     ) -> None:
-        """Consume one ``events`` reply for chunk ``seq``: install the
-        checkpoint it carries and merge its events whole, unless the
-        shard already emitted that chunk (a replay)."""
+        """Consume one ``events`` reply for chunk ``seq``: add up and
+        publish the counter growth it carries, install its checkpoint,
+        and merge its events whole, unless the shard already emitted
+        that chunk (a replay, whose work still counts)."""
         events, busy_s, stats, snapshot = reply
         shard.busy_s += busy_s
-        shard.worker_stats = stats
+        registry = telemetry.registry() if telemetry.metrics_enabled() else None
+        totals = shard.worker_stats
+        for key, delta in stats.items():
+            totals[key] = totals.get(key, 0) + delta
+            if registry is not None and delta:
+                registry.counter(f"scan.shard.{key}", shard=shard.index).inc(
+                    delta
+                )
         if snapshot is not None:
             shard.ckpt = ShardCheckpoint(
                 shard=shard.index, seq=seq, snapshot=snapshot
@@ -934,6 +922,10 @@ class ShardedScanner:
             shard.emitted = seq
             shard.events_total += len(events)
             gathered.extend(events)
+            if registry is not None:
+                registry.counter(
+                    "scan.shard.events", shard=shard.index
+                ).inc(len(events))
 
     def _prune_tail(self) -> None:
         """Drop buffered tail chunks every live shard has checkpointed
@@ -1318,30 +1310,11 @@ class ShardedScanner:
         )
         registry.counter("scan.shard.matches").inc(len(out))
         registry.gauge("scan.shard.workers").set(len(self.live_shards()))
-        for shard, before in zip(self._shards, busy_before):
-            registry.counter(
-                "scan.shard.events", shard=shard.index
-            ).inc(shard.events_total)
-            if wall > 0:
+        if wall > 0:
+            for shard, before in zip(self._shards, busy_before):
                 registry.gauge(
                     "scan.shard.occupancy", shard=shard.index
                 ).set(min((shard.busy_s - before) / wall, 1.0))
-            # Merge the worker's cumulative telemetry (shipped with each
-            # events reply, across the process boundary) as deltas so
-            # parent counters stay monotone under repeated feeds.  The
-            # carry folds in all previous worker incarnations, so a
-            # supervised restart mid-scan never publishes a negative (or
-            # double-counted) delta.
-            totals = dict(shard.stats_carry)
-            for key, value in shard.worker_stats.items():
-                totals[key] = totals.get(key, 0) + value
-            for key, total in totals.items():
-                delta = total - shard.published_stats.get(key, 0)
-                if delta > 0:
-                    registry.counter(
-                        f"scan.shard.{key}", shard=shard.index
-                    ).inc(delta)
-                shard.published_stats[key] = total
 
     def reset(self) -> None:
         """Rewind every live shard to the empty activation.

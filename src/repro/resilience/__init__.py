@@ -32,7 +32,6 @@ from .errors import (
     UnsupportedFeatureError,
 )
 from .report import (
-    STATUS_DEGRADED,
     STATUS_OK,
     STATUS_QUARANTINED,
     CompileReport,
@@ -76,7 +75,6 @@ __all__ = [
     "ReproError",
     "RegexSyntaxError",
     "RestartPolicy",
-    "STATUS_DEGRADED",
     "STATUS_OK",
     "STATUS_QUARANTINED",
     "SimulationFaultError",

@@ -16,7 +16,6 @@ from .errors import ReproError
 
 STATUS_OK = "ok"
 STATUS_QUARANTINED = "quarantined"
-STATUS_DEGRADED = "degraded"
 
 
 @dataclass

@@ -5,8 +5,8 @@ shard worker dying mid-stream, a fault-injection campaign diverging —
 the metrics snapshot says *how much* happened but not *what the engine
 was doing right before*.  The flight recorder closes that gap the way
 an aircraft recorder does: a fixed-size ring of the most recent engine
-events (scan chunk closures, match summaries, degradation and
-quarantine decisions, shard failures, budget transitions) plus the last
+events (scan chunk closures, match summaries, quarantine decisions,
+shard failures and recoveries, budget transitions) plus the last
 engine-state snapshot, dumped to a deterministic JSON *postmortem* the
 moment something goes wrong.
 

@@ -54,6 +54,7 @@ import time
 from contextlib import contextmanager
 
 from .._bits import popcount
+from ..automata.nfa import byte_class_ids
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -70,24 +71,6 @@ DEFAULT_HEATMAP_BUCKETS = 64
 MAX_SERIES_POINTS = 512
 
 PROFILE_VERSION = 1
-
-
-def byte_class_ids(match_masks: Sequence[int]) -> Tuple[List[int], int]:
-    """Group the 256 symbols into transition-equivalence classes.
-
-    Two bytes belong to the same class iff they select the same fused
-    match mask — they are indistinguishable to the automaton, so their
-    stepping cost is pooled.  Returns ``(class_of_byte, num_classes)``
-    with class ids assigned in first-appearance order.
-    """
-    ids: Dict[int, int] = {}
-    out: List[int] = []
-    for mask in match_masks:
-        class_id = ids.get(mask)
-        if class_id is None:
-            class_id = ids[mask] = len(ids)
-        out.append(class_id)
-    return out, len(ids)
 
 
 def _byte_ranges(values: Sequence[int], limit: int = 6) -> str:
@@ -187,10 +170,8 @@ class _Binding:
 
     __slots__ = (
         "automaton", "label", "slices", "slot_ids", "class_of_byte",
-        "num_classes", "class_us", "class_samples", "offset",
-        "last_hits", "last_misses", "last_table_s", "last_bitset_s",
-        "last_table_steps", "last_bitset_steps", "last_skipped",
-        "last_armed",
+        "num_classes", "class_us", "class_samples", "offset", "last",
+        "last_table_s", "last_bitset_s",
     )
 
     def __init__(self, matcher, slot_ids: Sequence[int], label: str) -> None:
@@ -208,14 +189,11 @@ class _Binding:
         self.class_us = [0.0] * self.num_classes
         self.class_samples = [0] * self.num_classes
         self.offset = 0
-        self.last_hits = matcher.cache_hits
-        self.last_misses = matcher.cache_misses
-        self.last_table_s = getattr(matcher, "table_seconds", 0.0)
-        self.last_bitset_s = getattr(matcher, "bitset_seconds", 0.0)
-        self.last_table_steps = getattr(matcher, "table_steps", 0)
-        self.last_bitset_steps = getattr(matcher, "bitset_steps", 0)
-        self.last_skipped = getattr(matcher, "prefilter_skipped", 0)
-        self.last_armed = getattr(matcher, "prefilter_armed", 0)
+        #: The matcher's counter record and tier clocks as of its last
+        #: profiled feed; the next feed folds in the growth since.
+        self.last = matcher.counters()
+        self.last_table_s = matcher.table_seconds
+        self.last_bitset_s = matcher.bitset_seconds
 
 
 class ScanProfiler:
@@ -256,7 +234,8 @@ class ScanProfiler:
         self._idle_us = 0.0
         self._sampled_us = 0.0
         # Run-wide tier accounting, folded in from each matcher's own
-        # counters (deltas per feed, so rebuilt matchers don't double).
+        # counter record and tier clocks (deltas per feed, so rebuilt
+        # matchers don't double).
         self._stepping: Dict[str, float] = {
             "table_s": 0.0,
             "bitset_s": 0.0,
@@ -270,7 +249,8 @@ class ScanProfiler:
 
     def bind(self, matcher, slot_ids: Sequence[int], label: str = "fused") -> _Binding:
         """Register ``matcher`` (idempotent; re-binds after a rebuild,
-        e.g. a degradation re-fuse, preserving accumulated tallies)."""
+        e.g. an incremental add or remove, preserving accumulated
+        tallies)."""
         key = id(matcher.fused)
         binding = self._bindings.get(key)
         if binding is None or binding.automaton is not matcher.fused:
@@ -351,35 +331,23 @@ class ScanProfiler:
             pos = sample_at + 1
             countdown = stride
         binding.offset += n
-        binding.last_hits = matcher.cache_hits
-        binding.last_misses = matcher.cache_misses
         self._absorb_stepping(matcher, binding)
         self.wall_s += clock() - started
         return out
 
     def _absorb_stepping(self, matcher, binding: _Binding) -> None:
-        """Fold the matcher's tier counters into the run-wide totals,
-        as deltas since this binding's last feed."""
-        table_s = getattr(matcher, "table_seconds", 0.0)
-        bitset_s = getattr(matcher, "bitset_seconds", 0.0)
-        table_steps = getattr(matcher, "table_steps", 0)
-        bitset_steps = getattr(matcher, "bitset_steps", 0)
-        skipped = getattr(matcher, "prefilter_skipped", 0)
-        armed = getattr(matcher, "prefilter_armed", 0)
+        """Fold the matcher's counter record and tier clocks into the
+        run-wide totals, as deltas since this binding's last feed."""
+        now = matcher.counters()
         with self._lock:
-            step = self._stepping
-            step["table_s"] += table_s - binding.last_table_s
-            step["bitset_s"] += bitset_s - binding.last_bitset_s
-            step["steps_table"] += table_steps - binding.last_table_steps
-            step["steps_bitset"] += bitset_steps - binding.last_bitset_steps
-            step["skipped_bytes"] += skipped - binding.last_skipped
-            step["armed_bytes"] += armed - binding.last_armed
-        binding.last_table_s = table_s
-        binding.last_bitset_s = bitset_s
-        binding.last_table_steps = table_steps
-        binding.last_bitset_steps = bitset_steps
-        binding.last_skipped = skipped
-        binding.last_armed = armed
+            totals = self._stepping
+            for key, value in now.items():
+                totals[key] = totals.get(key, 0) + value - binding.last[key]
+            totals["table_s"] += matcher.table_seconds - binding.last_table_s
+            totals["bitset_s"] += matcher.bitset_seconds - binding.last_bitset_s
+        binding.last = now
+        binding.last_table_s = matcher.table_seconds
+        binding.last_bitset_s = matcher.bitset_seconds
 
     # -- sampling -------------------------------------------------------
 
@@ -426,16 +394,15 @@ class ScanProfiler:
             self._series_countdown -= 1
             if self._series_countdown <= 0:
                 self._series_countdown = self._series_every
-                hits = sum(
-                    b.last_hits for b in self._bindings.values()
-                    if b is not binding
-                ) + matcher.cache_hits
-                misses = sum(
-                    b.last_misses for b in self._bindings.values()
-                    if b is not binding
-                ) + matcher.cache_misses
-                binding.last_hits = matcher.cache_hits
-                binding.last_misses = matcher.cache_misses
+                others = [
+                    b.last for b in self._bindings.values() if b is not binding
+                ]
+                hits = matcher.cache_hits + sum(
+                    last["cache_hits"] for last in others
+                )
+                misses = matcher.cache_misses + sum(
+                    last["cache_misses"] for last in others
+                )
                 self._series.append(
                     [float(abs_offset), float(hits), float(misses)]
                 )
@@ -493,10 +460,10 @@ class ScanProfiler:
                 for offset, hits, misses in self._series
             ]
             hits = sum(
-                b.last_hits for b in self._bindings.values()
+                b.last["cache_hits"] for b in self._bindings.values()
             )
             misses = sum(
-                b.last_misses for b in self._bindings.values()
+                b.last["cache_misses"] for b in self._bindings.values()
             )
             cache = {
                 "hits": hits,

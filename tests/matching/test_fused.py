@@ -454,14 +454,6 @@ class TestCacheBytes:
         roomy = build_fused(compiled, table_states=0)
         assert tight.scan(data) == roomy.scan(data)
 
-    def test_cache_full_flags_saturation(self):
-        matcher = build_fused(
-            compile_all(["ab"]), cache_size=2, table_states=0
-        )
-        assert not matcher.cache_full()
-        matcher.scan(b"abcabcxyz")
-        assert matcher.cache_full()
-
     def test_pattern_mask_selects_slice(self):
         fused = fuse_patterns(compile_all(["abc", "x{4}y"]))
         for pattern_id in range(fused.num_patterns):

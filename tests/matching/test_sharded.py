@@ -441,6 +441,24 @@ class TestLifecycle:
         assert gauges["scan.shard.workers"]["value"] == 2
         assert any(k.startswith("scan.shard.occupancy") for k in gauges)
 
+    def test_event_counters_publish_each_chunk_once(self):
+        """Each merged chunk's events count once, so after any number of
+        feeds the per-shard event counters sum to the merged matches."""
+        compiled = compile_all(["ax", "bx"])
+        data = b"ax bx " * 20
+        with telemetry.session():
+            with ShardedScanner(compiled, num_shards=2) as scanner:
+                for _ in range(4):
+                    scanner.feed(data)
+            counters = telemetry.snapshot()["counters"]
+        events = sum(
+            value
+            for key, value in counters.items()
+            if key.startswith("scan.shard.events{")
+        )
+        assert counters["scan.shard.matches"] == 4 * 40
+        assert events == counters["scan.shard.matches"]
+
 
 def _pid_alive(pid: int) -> bool:
     try:

@@ -1,5 +1,5 @@
-"""Acceptance guard: with budgets and degradation disabled, the fused
-scan hot loop must stay within 1.15x of the raw fused matcher."""
+"""Acceptance guard: with budgets disabled, the fused scan hot loop
+must stay within 1.15x of the raw fused matcher."""
 
 from repro import telemetry
 from repro.matching import PatternSet
@@ -22,7 +22,7 @@ def test_disabled_budgets_fused_overhead_within_bound():
     skip_if_loaded()
     assert not telemetry.enabled()
     ps = PatternSet(PATTERNS, engine="fused")
-    assert ps.budget.unlimited() and ps.degradation is None
+    assert ps.budget.unlimited()
     raw = FusedMatcher(fuse_patterns(ps.compiled))
 
     # Warm both paths (allocation, successor caches) before timing.
@@ -35,7 +35,7 @@ def test_disabled_budgets_fused_overhead_within_bound():
         rounds=ROUNDS,
     )
 
-    # The disabled path adds one budget/degradation test per feed call
+    # The disabled path adds one budget test per feed call
     # (not per byte) plus Match construction; 1.15x leaves ample noise
     # margin and the epsilon guards very fast machines.
     assert wrapped <= baseline * 1.15 + 1e-3, (

@@ -126,6 +126,21 @@ class TestEngineEvents:
         assert state is not None
         assert "cache_hits" in state
 
+    def test_fused_state_names_the_serving_tier(self):
+        """The fused state notes the matcher's whole counter record, so
+        a postmortem shows which tier ran: here the dense table served
+        every byte and the LRU saw no probe."""
+        flight.enable()
+        ps = PatternSet(
+            ["ab{2,4}c", "x[0-9]y", "q+r"], engine="fused", prefilter=False
+        )
+        data = b"abbbc x5y qqr abbc xy abbbbc qr " * 100
+        ps.scan(data)
+        state = flight.recorder().postmortem("x")["last_engine_state"]
+        assert state["steps_table"] == len(data)
+        assert state["steps_bitset"] == 0
+        assert state["cache_hits"] + state["cache_misses"] == 0
+
     def test_shard_failure_dumps_postmortem_naming_shard(self, tmp_path):
         """Acceptance: SIGKILL a shard worker under --flight-dir and the
         postmortem parses and names the failed shard."""

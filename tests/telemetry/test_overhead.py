@@ -35,7 +35,7 @@ def _raw_scan(pattern_set, data):
 def test_disabled_scan_overhead_within_bound():
     skip_if_loaded()
     assert not telemetry.enabled()
-    ps = PatternSet(PATTERNS)
+    ps = PatternSet(PATTERNS, engine="ah")
 
     # Warm both paths (allocation, caches) before timing.
     ps.scan(DATA)
@@ -57,7 +57,7 @@ def test_disabled_scan_overhead_within_bound():
 
 
 def test_scan_results_match_baseline():
-    ps = PatternSet(PATTERNS)
+    ps = PatternSet(PATTERNS, engine="ah")
     scanned = [(m.pattern_id, m.end) for m in ps.scan(DATA)]
     assert scanned == _raw_scan(ps, DATA)
 

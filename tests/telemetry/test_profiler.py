@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.matching import DegradationPolicy, PatternSet
+from repro.matching import PatternSet
 from repro.telemetry import profiler
 from repro.telemetry.profiler import (
     ScanProfile,
@@ -99,25 +99,6 @@ class TestMatchParity:
                     for m in ps_prof.feed(chunk)
                 ]
                 base += len(chunk)
-        assert profiled == plain
-
-    def test_demoted_stream_unchanged_by_profiling(self):
-        """Events of the profiled fused matcher merge with a demoted
-        pattern's per-byte matcher into the plain scan's stream."""
-        plain, _ = _scan("fused")
-        policy = DegradationPolicy(
-            check_bytes=256,
-            min_window=64,
-            min_hit_rate=1.0,
-            min_states_for_width=1,
-            max_active_fraction=0.01,
-            max_demotions=1,
-        )
-        ps = PatternSet(PATTERNS, engine="fused", degradation=policy)
-        with profiler.profile_session(stride=16) as active:
-            profiled = ps.scan(DATA)
-        assert len(ps.degradations) == 1
-        assert active.samples > 0
         assert profiled == plain
 
     def test_anchored_stream_unchanged_by_profiling(self):
