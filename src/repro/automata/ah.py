@@ -31,12 +31,17 @@ def injection_kind(width: int) -> Action:
     return SET1 if width > 1 else COPY
 
 
-def incoming_action_kinds(nbva: NBVA, state: int) -> Set[Action]:
-    """Distinct incoming actions of a state, counting initial injection."""
-    kinds = {t.action for t in nbva.transitions if t.dst == state}
+def incoming_action_kinds(nbva: NBVA, state: int) -> List[Action]:
+    """Distinct incoming actions of a state, counting initial injection.
+
+    Ordered by first appearance among ``nbva.transitions``, the
+    injection last, so state copies are numbered alike in every process:
+    a set of actions iterates in an order that varies with
+    ``PYTHONHASHSEED``."""
+    kinds = [t.action for t in nbva.transitions if t.dst == state]
     if nbva.initial.get(state):
-        kinds.add(injection_kind(nbva.states[state].width))
-    return kinds
+        kinds.append(injection_kind(nbva.states[state].width))
+    return list(dict.fromkeys(kinds))
 
 
 @dataclass
@@ -130,7 +135,7 @@ def to_action_homogeneous(nbva: NBVA) -> AHNBVA:
         kinds = incoming_action_kinds(nbva, origin)
         if not kinds:
             # Unreachable state: keep a single inert copy for structure.
-            kinds = {injection_kind(nbva.states[origin].width)}
+            kinds = [injection_kind(nbva.states[origin].width)]
         for kind in kinds:
             add_copy(origin, kind)
 

@@ -30,16 +30,17 @@ first, all producing byte-identical match streams:
    windows the activation decays with *reduced* start-state injection
    and, once empty, the remaining gap is skipped outright.
 2. **Dense transition table** — hot activation masks are interned as
-   dense state ids and stepped through flat ``array``-backed rows keyed
-   by byte-equivalence classes (two bytes are equivalent iff they select
-   the same fused match mask), with a precomputed fired-pattern tuple
-   per state.  Missing entries are filled lazily by the uncached bitset
-   step.  The table is bounded by a state-count and byte budget
-   (:class:`repro.resilience.budget.Budget`): a full table is emptied
-   in place and refilled from the current mask, as RE2 resets its DFA
-   cache, and is abandoned for tier 3 only when the interval since the
-   previous flush scanned fewer than :data:`MIN_BYTES_PER_FILL` bytes
-   per fill.
+   dense state ids and stepped through one successor column per
+   byte-equivalence class (two bytes are equivalent iff they select the
+   same fused match mask), a list indexed by state id, with a
+   precomputed fired-pattern tuple per state: a byte costs one list
+   lookup and one sign test.  Missing entries are filled lazily by the
+   uncached bitset step.  The table is bounded by a state-count and
+   byte budget (:class:`repro.resilience.budget.Budget`): a full table
+   is emptied in place and refilled from the current mask, as RE2
+   resets its DFA cache, and is abandoned for tier 3 only when the
+   interval since the previous flush scanned fewer than
+   :data:`MIN_BYTES_PER_FILL` bytes per fill.
 3. **Bitset stepping with a lazy-DFA cache** — the big-int closure step
    memoised as ``(active_mask, byte) -> (next_mask, fired pattern ids)``
    in a bounded LRU.  It serves scans with the table off
@@ -55,7 +56,6 @@ match start of a gated pattern.
 
 from __future__ import annotations
 
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -99,9 +99,9 @@ DEFAULT_TABLE_BYTES = 8 << 20
 #: the previous flush scanned fewer bytes than this per table fill.  Not
 #: a knob: RegexLib-64 streams measure 34-142 bytes per fill, far above
 #: it, while sets that mint a new mask every few bytes (RegexLib-16 with
-#: 50% planted matches, about 5.5; sliding gaps such as ``a.{6}b``,
+#: 50% planted matches, about 9; sliding gaps such as ``a.{6}b``,
 #: about 1) fall under it.  The table breaks even with the bitset tier
-#: nearer 2 bytes per fill (docs/matching.md), so the bar errs toward
+#: near 1 byte per fill (docs/matching.md), so the bar errs toward
 #: the bitset tier.
 MIN_BYTES_PER_FILL = 10
 
@@ -110,12 +110,23 @@ MIN_BYTES_PER_FILL = 10
 _ENTRY_OVERHEAD_BYTES = 200
 
 #: Estimated fixed overhead per interned table state (dict slot, mask,
-#: fired tuple) in bytes, on top of the transition rows.
+#: fired tuple) in bytes, on top of its column entries.
 _STATE_OVERHEAD_BYTES = 120
+
+#: States added to every column at once when the table outgrows them.
+_COLUMN_BLOCK = 256
+
+#: Column entry of a drain to the empty activation; below every ``~sid``.
+_DRAIN = -(1 << 62)
 
 #: Cap on the total number of distinct literals one prefilter plan may
 #: sweep per chunk; beyond this the ``bytes.find`` probes stop paying
 #: for themselves and the hint-heaviest patterns stay always-on.
+#: Lifted on ``regexlib_stream`` (seed 1, best of 3), it gates all 64
+#: patterns with 113 literals, but the sweep grows from 1.8 to 5.8 ms
+#: per 64 KiB chunk and skips only 5.4% of the stream, as loops like
+#: ``.{16,}`` keep activations live after a planted prefix: the scan
+#: drops from 8.7 to 6.4 MB/s.
 MAX_PLAN_LITERALS = 32
 
 
@@ -504,8 +515,8 @@ class FusedMatcher:
         self._state_masks: List[int] = []
         #: Per state: ``(slot, back)`` reports, ending ``back`` bytes early.
         self._state_emits: List[Tuple[Tuple[int, int], ...]] = []
-        self._tab_full = array("i")
-        self._tab_open: Optional[array] = None
+        #: ``_cols[mode][cls][sid]``: mode 0 full injection, 1 reduced.
+        self._cols: List[List[List[int]]] = []
         if self._table_live:
             class_of_byte, num_classes = byte_class_ids(self._match_masks)
             self._class_table = bytes(class_of_byte)
@@ -514,9 +525,8 @@ class FusedMatcher:
             for byte in range(255, -1, -1):
                 reps[class_of_byte[byte]] = byte
             self._class_rep = reps
-            self._blank_row = array("i", [-1]) * num_classes
-            if self._plan is not None:
-                self._tab_open = array("i")
+            modes = 1 if self._plan is None else 2
+            self._cols = [[[] for _ in reps] for _ in range(modes)]
             self._intern(0)
         self.reset()
 
@@ -645,12 +655,15 @@ class FusedMatcher:
 
     # -- dense table tier ---------------------------------------------
     #
-    # State ``sid`` owns the row ``sid * num_classes`` of ``_tab_full``
-    # and ``_tab_open``.  An entry is -1 until filled, else the row of
-    # the successor, bit-inverted when that successor reports (state 0,
-    # the empty activation, never reports, so ``~row`` never reads -1).
-    # The inner loops then test one sign per byte instead of looking up
-    # the successor's reports.
+    # ``_cols[mode][cls]`` is a list indexed by state id, one per
+    # injection mode and byte class.  Entry ``sid`` holds the successor's
+    # id, the very int ``_state_ids`` maps its mask to, so a lookup
+    # allocates nothing.  Entries the walk must act on are negative: -1
+    # until filled, ``~sid`` when the successor reports (state 0, the
+    # empty activation, never does), and :data:`_DRAIN`.  A list slot is
+    # 8 bytes, twice an ``array("i")`` entry: filled to 4,111 states, a
+    # RegexLib-64 table traces at 3.78 MB, against 2.57 MB as arrays that
+    # box a fresh int per lookup.
 
     def _intern(self, mask: int, served: int = 0) -> int:
         """Dense id of ``mask``, interning it on first sight.  A full
@@ -672,38 +685,39 @@ class FusedMatcher:
             tuple((slot, 0) for slot in report)
             + tuple((slot, 1) for slot in report_adj)
         )
-        self._tab_full.extend(self._blank_row)
-        rows = 1
-        if self._tab_open is not None:
-            self._tab_open.extend(self._blank_row)
-            rows = 2
+        if sid == len(self._cols[0][0]):
+            block = [-1] * _COLUMN_BLOCK
+            for cols in self._cols:
+                for col in cols:
+                    col.extend(block)
         self._table_bytes += (
             _STATE_OVERHEAD_BYTES
-            + rows * 4 * self._num_classes
+            + 8 * len(self._cols) * self._num_classes  # list slots
             + mask.bit_length() // 8
         )
         self.table_promotes += 1
         return sid
 
-    def _fill(self, row: int, cls: int, armed: bool, served: int) -> int:
+    def _fill(self, sid: int, cls: int, mode: int, served: int) -> int:
         """Compute one missing table entry with the uncached bitset step
         and return it.  Returns -1 once the table is abandoned, with
-        ``self.active`` set to ``row``'s mask for the bitset tier to
+        ``self.active`` set to ``sid``'s mask for the bitset tier to
         resume from."""
         self.table_misses += 1
-        nc = self._num_classes
-        mask = self._state_masks[row // nc]
+        mask = self._state_masks[sid]
         flushes = self.table_flushes
-        inject = self._injections[not armed]  # unarmed: reduced injection
-        sid = self._intern(
-            self._step(mask, self._class_rep[cls], inject), served
+        nxt = self._intern(
+            self._step(mask, self._class_rep[cls], self._injections[mode]),
+            served,
         )
-        if sid < 0:
+        if nxt < 0:
             self.active = mask
             return -1
-        entry = ~(sid * nc) if self._state_emits[sid] else sid * nc
-        if self.table_flushes == flushes:  # else ``row`` is gone
-            (self._tab_full if armed else self._tab_open)[row + cls] = entry
+        entry = ~nxt if self._state_emits[nxt] else nxt
+        if not nxt and mode and self._plan.skippable:
+            entry = _DRAIN
+        if self.table_flushes == flushes:  # else ``sid`` is gone
+            self._cols[mode][cls][sid] = entry
         return entry
 
     def _flush(self, served: int) -> bool:
@@ -731,9 +745,9 @@ class FusedMatcher:
         self._state_ids.clear()
         self._state_masks.clear()
         self._state_emits.clear()
-        del self._tab_full[:]
-        if self._tab_open is not None:
-            del self._tab_open[:]
+        for cols in self._cols:
+            for col in cols:
+                col.clear()
         self._table_bytes = 0
 
     def _table_blowup(self) -> None:
@@ -787,58 +801,41 @@ class FusedMatcher:
         out: List[Tuple[int, int]],
     ) -> int:
         t0 = perf_counter()
-        state = self._intern(self.active)
-        if state < 0:
+        row = self._intern(self.active)
+        if row < 0:
             self.table_seconds += perf_counter() - t0
             return self._run_bitset(data, start, end, armed, out)
-        nc = self._num_classes
-        row = state * nc
+        mode = 0 if armed else 1
+        cols = self._cols[mode]
         emits = self._state_emits
         miss0 = self.table_misses
-        append = out.append
         pos = end
         seg = (
             translated
             if start == 0 and end == len(translated)
             else translated[start:end]
         )
-        if armed:
-            tab = self._tab_full
-            for off, cls in enumerate(seg, start):
-                nxt = tab[row + cls]
-                if nxt < 0:
+        it = iter(seg)
+        for cls in it:
+            nxt = cols[cls][row]
+            if nxt < 0:
+                off = end - 1 - it.__length_hint__()
+                if nxt == -1:
+                    nxt = self._fill(row, cls, mode, off - start)
                     if nxt == -1:
-                        nxt = self._fill(row, cls, True, off - start)
-                        if nxt == -1:
-                            return self._abort_span(
-                                data, start, off, end, True, miss0, t0, out
-                            )
-                    if nxt < 0:
-                        nxt = ~nxt
-                        for slot, back in emits[nxt // nc]:
-                            append((slot, off - back))
-                row = nxt
-        else:
-            tab = self._tab_open
-            can_die = self._plan.skippable
-            for off, cls in enumerate(seg, start):
-                nxt = tab[row + cls]
-                if nxt < 0:
-                    if nxt == -1:
-                        nxt = self._fill(row, cls, False, off - start)
-                        if nxt == -1:
-                            return self._abort_span(
-                                data, start, off, end, False, miss0, t0, out
-                            )
-                    if nxt < 0:
-                        nxt = ~nxt
-                        for slot, back in emits[nxt // nc]:
-                            append((slot, off - back))
-                row = nxt
-                if can_die and not row:  # drained to the empty activation
+                        return self._abort_span(
+                            data, start, off, end, armed, miss0, t0, out
+                        )
+                if nxt == _DRAIN:  # drained to the empty activation
+                    row = 0
                     pos = off + 1
                     break
-        self.active = self._state_masks[row // nc]
+                if nxt < 0:
+                    nxt = ~nxt
+                    for slot, back in emits[nxt]:
+                        out.append((slot, off - back))
+            row = nxt
+        self.active = self._state_masks[row]
         served = pos - start
         self.table_steps += served
         self.table_hits += max(0, served - (self.table_misses - miss0))
@@ -861,7 +858,8 @@ class FusedMatcher:
         bytes served so far and finish the span on tier 3."""
         served = off - start
         self.table_steps += served
-        self.table_hits += max(0, served - (self.table_misses - miss0))
+        # The abandoning fill's miss served no byte.
+        self.table_hits += served - (self.table_misses - 1 - miss0)
         self.table_seconds += perf_counter() - t0
         return self._run_bitset(data, off, end, armed, out)
 

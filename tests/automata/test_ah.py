@@ -1,9 +1,13 @@
 """Action-homogeneous transformation tests (§4, Fig. 2(f)/(g))."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.automata.actions import Copy, ReadBit, Set1, Shift
 from repro.automata.ah import incoming_action_kinds, to_action_homogeneous
 from repro.compiler.translate import translate
@@ -130,3 +134,22 @@ class TestMechanics:
         nbva = build("ab{8}c")
         ah = to_action_homogeneous(nbva)
         assert ah.scopes == nbva.scopes
+
+
+class TestDeterminism:
+    def test_compile_is_independent_of_hash_seed(self, tmp_path):
+        """State copies are numbered in a fixed order, so the written
+        config does not depend on ``PYTHONHASHSEED`` (seeds 0 and 1
+        numbered ``a(.a){3}b``'s shift and set1 copies apart)."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        configs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"cfg-{seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "compile", "a(.a){3}b",
+                 "--unfold-threshold", "2", "-o", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            configs.append(out.read_bytes())
+        assert configs[0] == configs[1]

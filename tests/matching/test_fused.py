@@ -1,6 +1,8 @@
 """Unit tests for the fused multi-pattern scan engine."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -392,6 +394,128 @@ class TestTableFlush:
         assert info["flushes"] == 0
         assert info["fallbacks"] == 1 and not info["live"]
         assert info["steps_bitset"] > 0
+
+
+def _feed_in(matcher, data, size):
+    """``data`` through ``matcher.feed`` in ``size``-byte chunks, then
+    ``finish()``, as absolute ``(slot, end)`` events in scan order."""
+    events = []
+    for base in range(0, len(data), size):
+        for slot, end in matcher.feed(data[base:base + size]):
+            events.append((slot, base + end))
+    events.extend((slot, len(data) - 1) for slot, _end in matcher.finish())
+    events.sort(key=lambda event: (event[1], event[0]))
+    return events
+
+
+class TestTableSlowPath:
+    """Every column entry that leaves the table walk's fast path, one
+    set and stream apiece: each run equals the bitset tier's events on
+    the whole input and on 1-, 7- and 64-byte feeds, and accounts every
+    byte to exactly one tier."""
+
+    def _run(self, patterns, data, **kwargs):
+        """The whole-input matcher, after checking every feed size."""
+        compiled = compile_all(patterns)
+        expected = build_fused(
+            compiled, table_states=0, prefilter=False
+        ).scan(data)
+        assert expected
+        whole = None
+        for size in (None, 1, 7, 64):
+            matcher = build_fused(compiled, **kwargs)
+            if size is None:
+                whole = matcher
+                assert matcher.scan(data) == expected
+            else:
+                assert _feed_in(matcher, data, size) == expected, size
+            counters = matcher.counters()
+            assert (
+                counters["steps_table"]
+                + counters["steps_bitset"]
+                + counters["skipped_bytes"]
+            ) == len(data)
+        return whole
+
+    def test_fill(self):
+        info = self._run(
+            ["ab{2,4}c", "xy"], b"abbbc xy abbc zq " * 8, prefilter=False
+        ).table_info()
+        assert info["misses"] > 0 and info["hits"] > 0
+        assert info["steps_bitset"] == 0
+
+    def test_reporting_successor(self):
+        # 8 matches, all reported by the table: it served every byte.
+        matcher = self._run(["ab{2,4}c"], b"abbbc zq " * 8, prefilter=False)
+        info = matcher.table_info()
+        assert info["steps_table"] == 72 and info["steps_bitset"] == 0
+
+    def test_confirm_report(self):
+        # ``\bend\b`` reports from its confirm state one byte past the
+        # match (``back`` 1); the bitset tier steps only stream byte 0.
+        matcher = self._run(
+            [r"\bend\b", "xy"], b"the end, ended; end xy " * 4,
+            prefilter=False,
+        )
+        assert matcher.table_info()["steps_bitset"] == 1
+        assert any(
+            back == 1 for emits in matcher._state_emits for _, back in emits
+        )
+
+    def test_drain_then_skip(self):
+        # Every pattern is gated, so an unarmed span that drains to the
+        # empty activation skips the rest of its gap.
+        data = (b"hello" + b"z" * 50 + b"worrld" + b"q" * 50) * 3
+        matcher = self._run(["hello", "wor+ld"], data)
+        assert matcher.prefilter_info()["skippable"]
+        info = matcher.table_info()
+        assert info["skipped_bytes"] > 0 and info["steps_bitset"] == 0
+
+    def test_flush_mid_span(self):
+        # The ``abbc`` phase needs 5 states, 2 more than the ``xy``
+        # phase left room for: one flush, then the table serves on.
+        data = b"xy " * 40 + b"abbc " * 40
+        info = self._run(
+            ["ab{2,4}c", "xy"], data, table_states=5, prefilter=False
+        ).table_info()
+        assert info["flushes"] == 1 and info["fallbacks"] == 0
+        assert info["live"] and info["steps_bitset"] == 0
+
+    def test_abandon_mid_span(self):
+        data = b"z" * 40 + b"abbbc xy abbc"
+        info = self._run(
+            ["ab{2,4}c", "xy"], data, table_states=2, prefilter=False
+        ).table_info()
+        assert info["fallbacks"] == 1 and not info["live"]
+        assert info["steps_table"] > 0 and info["steps_bitset"] > 0
+        # The abandoning fill served no byte.
+        assert info["hits"] + info["misses"] == info["steps_table"] + 1
+
+
+class TestTableBytes:
+    """``table_info()["bytes"]``, the figure ``max_cache_bytes`` bounds,
+    tracks what the table really holds.  Counting 4 bytes per column
+    entry where a list holds 8 reads about 0.54 here."""
+
+    def test_bytes_track_traced_growth(self):
+        # 50% plants mint a new mask every few bytes: thousands of states.
+        compiled, data = _regexlib(16, 1 << 16, rate=0.5)
+        matcher = build_fused(compiled, table_states=1 << 20)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = matcher.table_info()["bytes"]
+            traced = tracemalloc.get_traced_memory()[0]
+            matcher.scan(data)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - traced
+        finally:
+            tracemalloc.stop()
+        info = matcher.table_info()
+        assert info["live"] and info["flushes"] == 0
+        assert info["states"] > 1000
+        assert info["bytes"] < info["byte_capacity"]
+        assert 0.75 <= (info["bytes"] - before) / grown <= 1.25
 
 
 class TestCacheBytes:
