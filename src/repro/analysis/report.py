@@ -88,8 +88,8 @@ def profile_summary_table(profile: Mapping[str, Any], top: int = 10) -> str:
     """The "find your hottest pattern" view of a ``ScanProfile``.
 
     Renders the top ``top`` patterns by activation share (who keeps the
-    combined bitset hot) next to their sampled time share, followed by a
-    one-line cache summary and the costliest byte classes.
+    combined bitset hot) next to their sampled time share, followed by
+    one-line memo, stepping-tier and hottest-region summaries.
     """
     rows: List[List[object]] = []
     for entry in profile.get("patterns", [])[:top]:
@@ -128,14 +128,6 @@ def profile_summary_table(profile: Mapping[str, Any], top: int = 10) -> str:
             f"bitset {stepping.get('bitset_share', 0.0):.1%} "
             f"({stepping.get('steps_bitset', 0)} bytes), "
             f"{stepping.get('skipped_bytes', 0)} prefilter-skipped"
-        )
-    classes = profile.get("byte_classes", [])
-    if classes:
-        worst = classes[0]
-        lines.append(
-            f"costliest byte class: {worst['example']!r} "
-            f"({worst['members']} bytes, mean {worst['mean_us']:.2f}us/step "
-            f"over {worst['sampled']} samples)"
         )
     heatmap = profile.get("heatmap", {})
     density = heatmap.get("density", [])

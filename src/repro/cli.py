@@ -343,9 +343,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Profile the fused scan path and emit a ``ScanProfile`` artifact.
 
     Runs the scan with the sampling profiler active (stride-sampled
-    per-pattern activation/time attribution, cache-ratio series, offset
-    heatmap, byte-class costs), writes the JSON artifact, and prints the
-    "hottest pattern" summary table.
+    per-pattern activation/time attribution, memo hit-ratio series,
+    offset heatmap, stepping tiers), writes the JSON artifact, and prints
+    the "hottest pattern" summary table.
     """
     if args.patterns:
         patterns = _load_patterns(args.patterns, args.fmt)
@@ -719,7 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--shards", type=int, default=None,
                            help="shard count for --engine sharded")
     p_profile.add_argument("--stride", type=int, default=64,
-                           help="bytes between profiler samples")
+                           help="probe the activation on every N-th "
+                           "stream byte (the scan itself is unchanged)")
     p_profile.add_argument("--heatmap-buckets", type=int, default=64,
                            dest="heatmap_buckets",
                            help="offset buckets in the activation heatmap")

@@ -527,7 +527,7 @@ class PatternSet:
     ) -> List[Match]:
         """One uninterrupted stretch of the feed loop, and the one scan
         dispatch, instrumented or not: the sharded scanner, the fused
-        matcher (sampled by ``prof`` when profiling), or the per-pattern
+        matcher (probed by ``prof`` when profiling), or the per-pattern
         matchers."""
         if self._sharded is not None:
             return [

@@ -44,7 +44,7 @@ first, all producing byte-identical match streams:
 3. **Bitset stepping with a lazy-DFA cache** — the big-int closure step
    memoised as ``(active_mask, byte) -> (next_mask, fired pattern ids)``
    in a bounded LRU.  It serves scans with the table off
-   (``table_states=0``) or abandoned, and per-byte :meth:`step` calls.
+   (``table_states=0``) or abandoned.
 
 Soundness of the prefilter rests on a monotone-arming argument: arming
 start states at a *superset* of the true match-start positions never
@@ -493,6 +493,11 @@ class FusedMatcher:
         self._injections = (self._inject_initial, self._open_initial)
         self.prefilter_skipped = 0
         self.prefilter_armed = 0
+        #: ``(first, stride, fire)`` while a profiler observes a feed
+        #: (:meth:`repro.telemetry.profiler.ScanProfiler.feed`): span
+        #: pieces end on the chunk offsets ``first + k * stride``, where
+        #: ``fire(offset, active)`` reads the activation.  None otherwise.
+        self._probe = None
         # -- table tier ----------------------------------------------------
         self._table_states = table_states
         self._table_byte_limit = table_bytes
@@ -787,9 +792,44 @@ class FusedMatcher:
         caller skips the rest of the gap)."""
         if start >= end:
             return end
+        if self._probe is not None:
+            return self._run_probed(data, translated, start, end, armed, out)
         if self._table_live and translated is not None:
             return self._run_table(data, translated, start, end, armed, out)
         return self._run_bitset(data, start, end, armed, out)
+
+    def _run_probed(
+        self,
+        data: bytes,
+        translated: Optional[bytes],
+        start: int,
+        end: int,
+        armed: bool,
+        out: List[Tuple[int, int]],
+    ) -> int:
+        """:meth:`_run_span` in pieces that end on the probe bytes, each
+        resuming with the same injection, so every tier steps the bytes a
+        plain span steps.  A piece that drains an unarmed span, even on
+        its probe byte, ends the span there as a plain run does, and the
+        probes of the skipped rest read the empty activation."""
+        first, stride, fire = self._probe
+        drains = not armed and self._plan.skippable
+        at = first if start <= first else start + (first - start) % stride
+        pos = start
+        while pos < end:
+            stop = at + 1 if at < end else end
+            if self._table_live and translated is not None:
+                pos = self._run_table(data, translated, pos, stop, armed, out)
+            else:
+                pos = self._run_bitset(data, pos, stop, armed, out)
+            if drains and not self.active:
+                break
+            if pos > at:
+                fire(at, self.active)
+                at += stride
+        for skipped in range(at, end, stride):
+            fire(skipped, 0)
+        return pos
 
     def _run_table(
         self,
@@ -897,15 +937,6 @@ class FusedMatcher:
 
     # -- matcher API ---------------------------------------------------
 
-    def step(self, symbol: int) -> bool:
-        """Consume one symbol; True iff *some* pattern's match ends here.
-
-        Per-byte stepping has no anchor semantics — gated automatons
-        must be driven through :meth:`feed`/:meth:`finish`.
-        """
-        self.active, report, _report_adj = self._advance(self.active, symbol)
-        return bool(report)
-
     def feed(self, data: bytes) -> List[Tuple[int, int]]:
         """Scan a chunk from the current state.
 
@@ -922,15 +953,18 @@ class FusedMatcher:
             self._at_start = False
         return self._feed_inner(data)
 
-    def _feed_inner(self, data: bytes) -> List[Tuple[int, int]]:
-        """Tier dispatch shared by the gated and un-gated feed paths."""
+    def _feed_inner(
+        self, data: bytes, start: int = 0
+    ) -> List[Tuple[int, int]]:
+        """Tier dispatch shared by the gated and un-gated feed paths,
+        over ``data[start:]`` with chunk-relative offsets."""
         if self._plan is not None:
-            return self._feed_prefiltered(data)
+            return self._feed_prefiltered(data, start)
         out: List[Tuple[int, int]] = []
         translated = (
             data.translate(self._class_table) if self._table_live else None
         )
-        self._run_span(data, translated, 0, len(data), True, out)
+        self._run_span(data, translated, start, len(data), True, out)
         return out
 
     def _step_start(
@@ -944,6 +978,8 @@ class FusedMatcher:
         report, report_adj = self._reports(self.active)
         out.extend((slot, 0) for slot in report)
         out.extend((slot, -1) for slot in report_adj)
+        if self._probe is not None and self._probe[0] == 0:
+            self._probe[2](0, self.active)
 
     def _feed_gated(self, data: bytes) -> List[Tuple[int, int]]:
         """Anchored feed: byte 0 of the stream gets the full-injection
@@ -955,15 +991,11 @@ class FusedMatcher:
         n = len(data)
         if not n:
             return []
-        raw: List[Tuple[int, int]] = []
         if self._at_start:
             self._at_start = False
+            raw: List[Tuple[int, int]] = []
             self._step_start(data[0], raw)
-            if n > 1:
-                raw.extend(
-                    (slot, off + 1)
-                    for slot, off in self._feed_inner(data[1:])
-                )
+            raw += self._feed_inner(data, 1)
         else:
             raw = self._feed_inner(data)
         raw.sort(key=lambda event: (event[1], event[0]))
@@ -1002,25 +1034,28 @@ class FusedMatcher:
             if not (suppressed >> slot) & 1
         ]
 
-    def _feed_prefiltered(self, data: bytes) -> List[Tuple[int, int]]:
-        """Tier-1 feed: sweep the chunk for required-literal occurrences,
-        arm gated start states only inside the windows around them (plus
-        the straddle-covering tail window), and run everything between
-        with reduced injection — skipping outright once drained."""
+    def _feed_prefiltered(
+        self, data: bytes, start: int
+    ) -> List[Tuple[int, int]]:
+        """Tier-1 feed over ``data[start:]``: sweep it for
+        required-literal occurrences, arm gated start states only inside
+        the windows around them (plus the straddle-covering tail window),
+        and run everything between with reduced injection — skipping
+        outright once drained."""
         out: List[Tuple[int, int]] = []
         n = len(data)
-        if not n:
+        if start >= n:
             return out
         plan = self._plan
         spans: List[Tuple[int, int]] = []
         for literal, pre in plan.hints:
-            idx = data.find(literal)
+            idx = data.find(literal, start)
             while idx >= 0:
                 lo = idx - pre
-                spans.append((lo if lo > 0 else 0, idx + 1))
+                spans.append((lo if lo > start else start, idx + 1))
                 idx = data.find(literal, idx + 1)
         tail_lo = n - plan.tail
-        spans.append((tail_lo if tail_lo > 0 else 0, n))
+        spans.append((tail_lo if tail_lo > start else start, n))
         spans.sort()
         merged: List[Tuple[int, int]] = []
         cur_lo, cur_hi = spans[0]
@@ -1035,7 +1070,7 @@ class FusedMatcher:
         translated = (
             data.translate(self._class_table) if self._table_live else None
         )
-        pos = 0
+        pos = start
         for lo, hi in merged:
             if pos < lo:
                 reached = self._run_span(data, translated, pos, lo, False, out)

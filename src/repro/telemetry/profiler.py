@@ -9,31 +9,30 @@ hardware.  This module is the software lens for the same question:
 * **per-pattern activation share** — how much of the combined active
   bitset each pattern keeps hot (the patterns that defeat the lazy-DFA
   cache and dominate the big-int work);
-* **per-pattern time attribution** — sampled step time split across the
-  patterns active during the step;
-* **lazy-DFA cache hit ratio over time** — a bounded series of
-  (offset, hits, misses) points showing warm-up and thrash;
+* **per-pattern time attribution** — the scan time between two probes
+  split across the patterns active at the later one;
+* **memo hit ratio over time** — a bounded series of (offset, hits,
+  misses) points of the memo that served the bytes, the dense table
+  plus the bitset tier's LRU, showing warm-up and thrash;
 * **active-state-density heatmap over input offsets** — which byte
-  regions of the input light the automaton up;
-* **per-byte-class stepping cost** — the 256 input symbols grouped into
-  transition-equivalence classes (identical fused match masks), each
-  with its sampled mean step cost.
+  regions of the input light the automaton up.
 
-Sampling happens every ``stride`` bytes: the stretches between samples
-go through the matcher's own
-:meth:`~repro.matching.fused.FusedMatcher.feed`, and each sampled byte
-costs one timed step plus an O(num_patterns) mask decomposition.  That
-is far from free, because each ``stride - 1``-byte feed arms the
-prefilter's end-of-chunk tail window again, so most of the skipped and
-unarmed bytes that carry a plain scan are lost.  At the default stride
-of 64, 256 KiB scans on a 2-vCPU host read 4.6-6.4x slower than a
-plain scan on RegexLib-64 and 11-19x slower on RegexLib-16 (best of 5
-repeats, five runs), whose plain scan skips 99% of its bytes (17% when
-profiled, with 80% armed).
-Profile to see where a scan's time goes, not to time it.  When no
-profiler is active the engines never reach this module: the scan path
-pays only the single ``profiling_enabled()`` check it already shares
-with telemetry, and the disabled-overhead guard covers it.
+:meth:`ScanProfiler.feed` hands each chunk to the matcher's own
+:meth:`~repro.matching.fused.FusedMatcher.feed` once, with a probe
+installed: the matcher ends a span piece on every ``stride``-th stream
+byte, passes the activation there to the probe, and resumes the span
+with the same injection.  Splitting a span and resuming from the same
+activation is exact, as a chunk seam is (the simultaneous-automata
+argument), so a profiled scan steps the same bytes on the same tiers,
+and leaves the same :meth:`~repro.matching.fused.FusedMatcher.counters`,
+as a plain one.  The extra cost is the pieces and one decomposition
+per probe, a step per live state: at the default stride of 64, 256 KiB
+scans on a 2-vCPU host read 1.4-2.2x (RegexLib-64) and 1.8-2.7x
+(RegexLib-16, whose plain scan skips 99% of its bytes) the time of a
+plain scan (best of 5 scans, three runs).  When no profiler is active the
+engines never reach this module: the scan path pays only the single
+``profiling_enabled()`` check it already shares with telemetry, and the
+matcher one ``_probe`` test per span.
 
 Typical use (the ``profile`` CLI verb wraps exactly this)::
 
@@ -53,47 +52,33 @@ import threading
 import time
 from contextlib import contextmanager
 
-from .._bits import popcount
-from ..automata.nfa import byte_class_ids
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-#: Default sampling stride in bytes: a 16 KiB input is sampled 256
-#: times, plenty for shares and heatmaps.  The profiled scan runs several
-#: times slower than a plain one (see the module docstring).
+#: Default sampling stride in bytes: a 16 KiB input is probed 256
+#: times, plenty for shares and heatmaps.  Each probe cuts a span and
+#: decomposes the activation per pattern, so a smaller stride costs
+#: more (see the module docstring).
 DEFAULT_STRIDE = 64
 
 #: Default number of offset buckets in the activation heatmap.
 DEFAULT_HEATMAP_BUCKETS = 64
 
-#: Cache-ratio series points are decimated 2:1 whenever they exceed
-#: this bound, so profiles stay small on huge inputs.
+#: Memo series points are decimated 2:1 whenever they exceed this
+#: bound, so profiles stay small on huge inputs.
 MAX_SERIES_POINTS = 512
 
-PROFILE_VERSION = 1
+#: v2 dropped ``byte_classes`` and counts the dense table in ``cache``.
+PROFILE_VERSION = 2
 
 
-def _byte_ranges(values: Sequence[int], limit: int = 6) -> str:
-    """Compact human label for a set of byte values (``"a-z,0-9"``)."""
-
-    def show(b: int) -> str:
-        if 0x21 <= b <= 0x7E:
-            return chr(b)
-        return f"\\x{b:02x}"
-
-    ranges: List[Tuple[int, int]] = []
-    for value in sorted(values):
-        if ranges and value == ranges[-1][1] + 1:
-            ranges[-1] = (ranges[-1][0], value)
-        else:
-            ranges.append((value, value))
-    parts = [
-        show(lo) if lo == hi else f"{show(lo)}-{show(hi)}"
-        for lo, hi in ranges[:limit]
-    ]
-    if len(ranges) > limit:
-        parts.append("...")
-    return ",".join(parts)
+def _memo_counts(record: Mapping[str, float]) -> Tuple[float, float]:
+    """Hits and misses of the memo that served the bytes in a counter
+    record: the dense table's plus the bitset tier's LRU."""
+    return (
+        record.get("table_hits", 0) + record.get("cache_hits", 0),
+        record.get("table_misses", 0) + record.get("cache_misses", 0),
+    )
 
 
 @dataclass
@@ -103,7 +88,7 @@ class ScanProfile:
     ``patterns`` rows are sorted by descending ``activation_share`` —
     the first row is the pattern that keeps the combined bitset hottest.
     ``activation_share`` and ``time_share`` each sum to ~1.0 whenever
-    any state was ever active.
+    any probe saw a live state.
     """
 
     engine: str
@@ -114,7 +99,6 @@ class ScanProfile:
     patterns: List[Dict[str, Any]] = field(default_factory=list)
     cache: Dict[str, Any] = field(default_factory=dict)
     heatmap: Dict[str, Any] = field(default_factory=dict)
-    byte_classes: List[Dict[str, Any]] = field(default_factory=list)
     stepping: Dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> Dict[str, Any]:
@@ -129,7 +113,6 @@ class ScanProfile:
             "patterns": self.patterns,
             "cache": self.cache,
             "heatmap": self.heatmap,
-            "byte_classes": self.byte_classes,
             "stepping": self.stepping,
         }
 
@@ -140,6 +123,7 @@ class ScanProfile:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "ScanProfile":
+        """Load a v2 artifact, or a v1 one without its ``byte_classes``."""
         return cls(
             engine=obj.get("engine", "fused"),
             stride=obj["stride"],
@@ -149,7 +133,6 @@ class ScanProfile:
             patterns=list(obj.get("patterns", [])),
             cache=dict(obj.get("cache", {})),
             heatmap=dict(obj.get("heatmap", {})),
-            byte_classes=list(obj.get("byte_classes", [])),
             stepping=dict(obj.get("stepping", {})),
         )
 
@@ -159,48 +142,46 @@ def load_profile(path: str) -> ScanProfile:
         return ScanProfile.from_json(json.load(handle))
 
 
+def _tier_record(matcher) -> Dict[str, float]:
+    """``matcher``'s counter record plus its two tier clocks."""
+    return dict(
+        matcher.counters(),
+        table_s=matcher.table_seconds,
+        bitset_s=matcher.bitset_seconds,
+    )
+
+
 class _Binding:
-    """Per-matcher profiling state (one per fused automaton observed).
+    """Per-matcher profiling state (one per fused matcher observed).
 
     The profiler can observe several matchers in one run — the inline
     sharded backend runs one fused matcher per shard over the same
-    input — so per-pattern tallies key on *global* pattern ids while
-    byte-class tables stay per binding (class ids are automaton-local).
+    input, and a rebuilt set swaps in a new one — so per-pattern tallies
+    key on *global* pattern ids.  A binding keeps its matcher alive for
+    the profiler's lifetime, so the profile counts a replaced matcher's
+    work too.
     """
 
-    __slots__ = (
-        "automaton", "label", "slices", "slot_ids", "class_of_byte",
-        "num_classes", "class_us", "class_samples", "offset", "last",
-        "last_table_s", "last_bitset_s",
-    )
+    __slots__ = ("matcher", "owners", "slot_ids", "carry_s", "first")
 
-    def __init__(self, matcher, slot_ids: Sequence[int], label: str) -> None:
-        automaton = matcher.fused
-        self.automaton = automaton
-        self.label = label
-        self.slices = [
-            automaton.pattern_slice(slot)
-            for slot in range(automaton.num_patterns)
-        ]
+    def __init__(self, matcher, slot_ids: Sequence[int]) -> None:
+        self.matcher = matcher
         self.slot_ids = list(slot_ids)
-        self.class_of_byte, self.num_classes = byte_class_ids(
-            matcher._match_masks
-        )
-        self.class_us = [0.0] * self.num_classes
-        self.class_samples = [0] * self.num_classes
-        self.offset = 0
-        #: The matcher's counter record and tier clocks as of its last
-        #: profiled feed; the next feed folds in the growth since.
-        self.last = matcher.counters()
-        self.last_table_s = matcher.table_seconds
-        self.last_bitset_s = matcher.bitset_seconds
+        #: Global pattern id owning each combined state.
+        self.owners = [
+            self.slot_ids[slot] for slot in matcher.fused.state_pattern
+        ]
+        #: Scan time since the last probe, carried into the next feed.
+        self.carry_s = 0.0
+        #: The tier record when bound; the profile counts the growth.
+        self.first = _tier_record(matcher)
 
 
 class ScanProfiler:
     """Collects sampled attribution while the engines feed through it.
 
     The engine-facing API is :meth:`feed` — a drop-in replacement for
-    :meth:`FusedMatcher.feed` that samples every ``stride`` bytes — plus
+    :meth:`FusedMatcher.feed` that probes every ``stride`` bytes — plus
     :meth:`bind` to register a matcher.  :meth:`finish` freezes the run
     into a :class:`ScanProfile`.
     """
@@ -222,6 +203,8 @@ class ScanProfiler:
             self.bucket_bytes = max(self.stride, 1) * 64
         self._lock = threading.Lock()
         self._bindings: Dict[int, _Binding] = {}
+        #: Stream bytes fed under each label, across matcher rebuilds.
+        self._offsets: Dict[str, int] = {}
         # global pattern id -> [active_sum, time_us, peak, samples_active]
         self._pattern: Dict[int, List[float]] = {}
         self._heat_sum: List[float] = []
@@ -231,158 +214,98 @@ class ScanProfiler:
         self._series_countdown = 1
         self.samples = 0
         self.wall_s = 0.0
-        self._idle_us = 0.0
         self._sampled_us = 0.0
-        # Run-wide tier accounting, folded in from each matcher's own
-        # counter record and tier clocks (deltas per feed, so rebuilt
-        # matchers don't double).
-        self._stepping: Dict[str, float] = {
-            "table_s": 0.0,
-            "bitset_s": 0.0,
-            "steps_table": 0,
-            "steps_bitset": 0,
-            "skipped_bytes": 0,
-            "armed_bytes": 0,
-        }
 
     # -- engine-facing API ---------------------------------------------
 
-    def bind(self, matcher, slot_ids: Sequence[int], label: str = "fused") -> _Binding:
-        """Register ``matcher`` (idempotent; re-binds after a rebuild,
-        e.g. an incremental add or remove, preserving accumulated
-        tallies)."""
-        key = id(matcher.fused)
-        binding = self._bindings.get(key)
-        if binding is None or binding.automaton is not matcher.fused:
+    def bind(self, matcher, slot_ids: Sequence[int]) -> _Binding:
+        """Register ``matcher`` (idempotent).  A rebuilt matcher, after
+        an incremental add or remove, gets a binding of its own; its
+        feeds continue the stream offset of their label."""
+        binding = self._bindings.get(id(matcher))
+        if binding is None:
             with self._lock:
-                binding = _Binding(matcher, slot_ids, label)
-                self._bindings[key] = binding
+                binding = self._bindings[id(matcher)] = _Binding(
+                    matcher, slot_ids
+                )
         return binding
 
     def feed(self, matcher, data: bytes, slot_ids: Sequence[int],
              label: str = "fused") -> List[Tuple[int, int]]:
-        """Profiled :meth:`FusedMatcher.feed`: identical match stream,
-        sampled attribution on the side.
+        """Profiled :meth:`FusedMatcher.feed`: one ``matcher.feed(data)``
+        with a probe on every ``stride``-th byte of the stream under
+        ``label``, so the match stream, the tiers that serve each byte
+        and the matcher's counters are those of an unprofiled feed.
 
-        The stretches *between* sampled bytes are delegated to
-        ``matcher.feed`` so they take the matcher's real tier path
-        (prefilter skip loop, dense table, or bitset stepping) and the
-        profile's tier shares reflect production behaviour.  Only the
-        sampled byte itself is stepped here — on anchor-free automata
-        through the fully-armed ``matcher._advance`` (sound because
-        arming start states at extra positions only adds partials that
-        die or re-derive the same matches; NFA set semantics dedupe
-        them), on anchored automata through a one-byte ``matcher.feed``
-        (the gated path owns the offset-0 start step, seam dedup, and
-        end-of-input candidate bookkeeping, and byte-at-a-time feeding
-        is stream-exact by the streaming property) — so the match
-        stream stays byte-identical to an unprofiled feed either way.
-
+        Each probe reads the activation the matcher left on its byte and
+        attributes the scan time since the previous probe by it.
         Returns ``(slot, end)`` events exactly as ``matcher.feed`` does;
         the caller maps slots to global pattern ids as usual.
         """
-        binding = self.bind(matcher, slot_ids, label)
-        out: List[Tuple[int, int]] = []
+        binding = self.bind(matcher, slot_ids)
         stride = self.stride
+        base = self._offsets.get(label, 0)
         clock = time.perf_counter
-        gated = matcher.fused.anchored
-        # Bytes until (and including) the next sampled byte; recomputed
-        # from the persistent offset so sampling stays periodic across
-        # chunk boundaries.
-        countdown = stride - (binding.offset % stride)
         started = clock()
-        n = len(data)
-        pos = 0
-        while pos < n:
-            sample_at = pos + countdown - 1
-            if sample_at >= n:
-                for slot, end in matcher.feed(data[pos:]):
-                    out.append((slot, pos + end))
-                break
-            if sample_at > pos:
-                for slot, end in matcher.feed(data[pos:sample_at]):
-                    out.append((slot, pos + end))
-            symbol = data[sample_at]
-            if gated:
-                t0 = clock()
-                events = matcher.feed(data[sample_at : sample_at + 1])
-                step_us = (clock() - t0) * 1e6
-                active = matcher.active
-                # A \b confirm event carries end == -1 (the previous
-                # byte); rebasing keeps that exact, -1 only surviving
-                # when the seam is this profiled chunk's own start.
-                for slot, end in events:
-                    out.append((slot, sample_at + end))
-            else:
-                t0 = clock()
-                active, report, report_adj = matcher._advance(
-                    matcher.active, symbol
-                )
-                step_us = (clock() - t0) * 1e6
-                matcher.active = active
-                for slot in report:
-                    out.append((slot, sample_at))
-                for slot in report_adj:  # pragma: no cover - gated only
-                    out.append((slot, sample_at - 1))
-            self._sample(
-                matcher, binding, active, symbol, step_us,
-                binding.offset + sample_at,
-            )
-            pos = sample_at + 1
-            countdown = stride
-        binding.offset += n
-        self._absorb_stepping(matcher, binding)
+        mark = started - binding.carry_s
+
+        def probe(offset: int, active: int) -> None:
+            nonlocal mark
+            self._sample(binding, active, clock() - mark, base + offset)
+            mark = clock()
+
+        matcher._probe = ((stride - 1 - base) % stride, stride, probe)
+        try:
+            out = matcher.feed(data)
+        finally:
+            matcher._probe = None
+        binding.carry_s = clock() - mark
+        self._offsets[label] = base + len(data)
         self.wall_s += clock() - started
         return out
 
-    def _absorb_stepping(self, matcher, binding: _Binding) -> None:
-        """Fold the matcher's counter record and tier clocks into the
-        run-wide totals, as deltas since this binding's last feed."""
-        now = matcher.counters()
-        with self._lock:
-            totals = self._stepping
-            for key, value in now.items():
-                totals[key] = totals.get(key, 0) + value - binding.last[key]
-            totals["table_s"] += matcher.table_seconds - binding.last_table_s
-            totals["bitset_s"] += matcher.bitset_seconds - binding.last_bitset_s
-        binding.last = now
-        binding.last_table_s = matcher.table_seconds
-        binding.last_bitset_s = matcher.bitset_seconds
+    def _growth(self) -> Dict[str, float]:
+        """Run-wide tier record growth, summed over the bound matchers."""
+        totals: Dict[str, float] = {}
+        for binding in self._bindings.values():
+            for key, value in _tier_record(binding.matcher).items():
+                totals[key] = totals.get(key, 0) + value - binding.first[key]
+        return totals
 
     # -- sampling -------------------------------------------------------
 
     def _sample(
-        self, matcher, binding: _Binding, active: int, symbol: int,
-        step_us: float, abs_offset: int,
+        self, binding: _Binding, active: int, elapsed_s: float,
+        abs_offset: int,
     ) -> None:
+        """Fold one probe: the activation ``active`` on stream byte
+        ``abs_offset``, reached ``elapsed_s`` of scanning after the
+        previous probe."""
+        elapsed_us = elapsed_s * 1e6
         with self._lock:
             self.samples += 1
-            self._sampled_us += step_us
-            # Per-byte-class stepping cost (automaton-local classes).
-            class_id = binding.class_of_byte[symbol]
-            binding.class_us[class_id] += step_us
-            binding.class_samples[class_id] += 1
-            # Per-pattern activation and time attribution.
-            total_active = 0
-            widths: List[Tuple[int, int]] = []  # (pattern_id, width)
-            for slot, (low, high) in enumerate(binding.slices):
-                width = popcount((active >> low) & ((1 << (high - low)) - 1))
-                if width:
-                    total_active += width
-                    widths.append((binding.slot_ids[slot], width))
-            for pattern_id, width in widths:
+            self._sampled_us += elapsed_us
+            # Per-pattern activation and time attribution, one step per
+            # live state (activations are sparse).
+            widths: Dict[int, int] = {}
+            owners = binding.owners
+            while active:
+                low = active & -active
+                pattern_id = owners[low.bit_length() - 1]
+                widths[pattern_id] = widths.get(pattern_id, 0) + 1
+                active ^= low
+            total_active = sum(widths.values())
+            for pattern_id, width in widths.items():
                 row = self._pattern.get(pattern_id)
                 if row is None:
                     row = self._pattern[pattern_id] = [0.0, 0.0, 0.0, 0]
                 row[0] += width
-                row[1] += step_us * (width / total_active)
+                row[1] += elapsed_us * (width / total_active)
                 if width > row[2]:
                     row[2] = width
                 row[3] += 1
-            if not widths:
-                self._idle_us += step_us
-            # Offset heatmap (offsets are per-binding; in the inline
-            # sharded case every binding walks the same input, so the
+            # Offset heatmap (offsets are per-label; in the inline
+            # sharded case every shard walks the same input, so the
             # buckets line up and densities add).
             bucket = abs_offset // self.bucket_bytes
             while bucket >= len(self._heat_sum):
@@ -390,22 +313,12 @@ class ScanProfiler:
                 self._heat_n.append(0)
             self._heat_sum[bucket] += total_active
             self._heat_n[bucket] += 1
-            # Cache-ratio series (decimated to stay bounded).
+            # Memo series (decimated to stay bounded).
             self._series_countdown -= 1
             if self._series_countdown <= 0:
                 self._series_countdown = self._series_every
-                others = [
-                    b.last for b in self._bindings.values() if b is not binding
-                ]
-                hits = matcher.cache_hits + sum(
-                    last["cache_hits"] for last in others
-                )
-                misses = matcher.cache_misses + sum(
-                    last["cache_misses"] for last in others
-                )
-                self._series.append(
-                    [float(abs_offset), float(hits), float(misses)]
-                )
+                hits, misses = _memo_counts(self._growth())
+                self._series.append([float(abs_offset), hits, misses])
                 if len(self._series) > MAX_SERIES_POINTS:
                     self._series = self._series[::2]
                     self._series_every *= 2
@@ -459,15 +372,11 @@ class ScanProfiler:
                 }
                 for offset, hits, misses in self._series
             ]
-            hits = sum(
-                b.last["cache_hits"] for b in self._bindings.values()
-            )
-            misses = sum(
-                b.last["cache_misses"] for b in self._bindings.values()
-            )
+            growth = self._growth()
+            hits, misses = _memo_counts(growth)
             cache = {
-                "hits": hits,
-                "misses": misses,
+                "hits": int(hits),
+                "misses": int(misses),
                 "hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
                 "series": series,
             }
@@ -478,31 +387,8 @@ class ScanProfiler:
             ]
             heatmap = {"bucket_bytes": self.bucket_bytes, "density": density}
 
-            classes: List[Dict[str, Any]] = []
-            for binding in self._bindings.values():
-                members: Dict[int, List[int]] = {}
-                for byte, class_id in enumerate(binding.class_of_byte):
-                    members.setdefault(class_id, []).append(byte)
-                for class_id in range(binding.num_classes):
-                    sampled = binding.class_samples[class_id]
-                    if not sampled:
-                        continue
-                    total = binding.class_us[class_id]
-                    classes.append(
-                        {
-                            "scope": binding.label,
-                            "class_id": class_id,
-                            "members": len(members[class_id]),
-                            "example": _byte_ranges(members[class_id]),
-                            "sampled": sampled,
-                            "total_us": round(total, 3),
-                            "mean_us": round(total / sampled, 4),
-                        }
-                    )
-            classes.sort(key=lambda c: -c["total_us"])
-
-            table_s = self._stepping["table_s"]
-            bitset_s = self._stepping["bitset_s"]
+            table_s = growth.get("table_s", 0.0)
+            bitset_s = growth.get("bitset_s", 0.0)
             tier_total = table_s + bitset_s
             stepping = {
                 "table_s": round(table_s, 6),
@@ -510,25 +396,21 @@ class ScanProfiler:
                 "sampled_s": round(self._sampled_us / 1e6, 6),
                 "table_share": table_s / tier_total if tier_total else 0.0,
                 "bitset_share": bitset_s / tier_total if tier_total else 0.0,
-                "steps_table": int(self._stepping["steps_table"]),
-                "steps_bitset": int(self._stepping["steps_bitset"]),
-                "skipped_bytes": int(self._stepping["skipped_bytes"]),
-                "armed_bytes": int(self._stepping["armed_bytes"]),
+                "steps_table": int(growth.get("steps_table", 0)),
+                "steps_bitset": int(growth.get("steps_bitset", 0)),
+                "skipped_bytes": int(growth.get("skipped_bytes", 0)),
+                "armed_bytes": int(growth.get("armed_bytes", 0)),
             }
 
-            input_bytes = max(
-                (b.offset for b in self._bindings.values()), default=0
-            )
             return ScanProfile(
                 engine=engine,
                 stride=self.stride,
-                input_bytes=input_bytes,
+                input_bytes=max(self._offsets.values(), default=0),
                 samples=self.samples,
                 wall_s=round(self.wall_s, 6),
                 patterns=rows,
                 cache=cache,
                 heatmap=heatmap,
-                byte_classes=classes,
                 stepping=stepping,
             )
 

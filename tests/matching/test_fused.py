@@ -109,23 +109,6 @@ class TestFusedMatcher:
         # all three end at offset 2, reported in pattern-id order
         assert matches == [Match(0, 2), Match(1, 2), Match(2, 2)]
 
-    def test_step_matches_feed(self):
-        compiled = compile_all(["ab{2,3}c", "ba"])
-        stepper = build_fused(compiled)
-        feeder = build_fused(compiled)
-        data = b"abbc ba abbbc"
-        feeder.reset()
-        expected = sorted({end for _slot, end in feeder.feed(data)})
-        stepper.reset()
-        got = [
-            offset for offset, symbol in enumerate(data)
-            if stepper.step(symbol)
-        ]
-        assert got == expected
-        # step() is the per-byte bitset tier: one LRU probe per byte.
-        info = stepper.cache_info()
-        assert info["hits"] + info["misses"] == len(data)
-
     def test_streaming_state_persists_across_feeds(self):
         matcher = build_fused(compile_all(["ab{3}c"]))
         matcher.reset()
@@ -138,7 +121,7 @@ class TestFusedMatcher:
         matcher = build_fused(compile_all(["ab", "ac"]))
         matcher.reset()
         assert matcher.active_count() == 0
-        matcher.step(ord("a"))
+        matcher.feed(b"a")
         assert matcher.active_count() == 2  # both 'a' heads live
         assert matcher.active_states()
 

@@ -1,25 +1,30 @@
 """Scan-path profiler tests: parity, attribution invariants, artifact.
 
 The profiler's cardinal rule is that profiling must never change the
-match stream — every test here scans the same input with and without an
-active profiler and compares streams exactly — and its attribution
-invariants (shares sum to ~1, heatmap covers the input) are what the
-``profile`` CLI verb's acceptance rests on.
+scan — every test here scans the same input with and without an active
+profiler and compares streams exactly, and the tier parity tests also
+compare the matchers' counter records — and its attribution invariants
+(shares sum to ~1, heatmap covers the input) are what the ``profile``
+CLI verb's acceptance rests on.
 """
 
+import contextlib
+import functools
 import json
 
 import pytest
 
+from repro.automata.nfa import byte_class_ids
 from repro.matching import PatternSet
 from repro.telemetry import profiler
 from repro.telemetry.profiler import (
     ScanProfile,
     ScanProfiler,
-    byte_class_ids,
     load_profile,
 )
 from repro.workloads import PROFILES, dataset_stream, load_dataset
+
+from ..matching.test_instrumented_tiers import _set
 
 import random
 
@@ -102,9 +107,10 @@ class TestMatchParity:
         assert profiled == plain
 
     def test_anchored_stream_unchanged_by_profiling(self):
-        """Anchored automata take the gated sampled-step path (one-byte
-        ``feed``); start gates, ``$`` finalisation, and ``\\b`` seam
-        dedup must survive profiling byte-for-byte."""
+        """Anchored automata take the gated feed (the offset-0 start
+        step, then the tiers from byte 1); start gates, ``$``
+        finalisation, and ``\\b`` seam dedup must survive profiling
+        byte-for-byte."""
         patterns = ["^zab{3}c", r"\bx[0-9]{2}y\b", "zq+$", "[a-f]{4}"]
         data = b"zabbbc x12y zqqq abcdef " * 40 + b"zqq"
         plain_ps = PatternSet(patterns, engine="fused")
@@ -120,6 +126,120 @@ class TestMatchParity:
                 profile = active.finish(engine="fused")
         assert profiled == plain
         assert profile.samples > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_set(name):
+    """``(patterns, stream, PatternSet kwargs)`` of one tier parity set:
+    the golden corpus, its prefilter-gated subset (every pattern gated,
+    so unarmed spans drain and skip), the anchored corpus plus one
+    unanchored pattern, RegexLib-16 over 256 KiB, and the golden corpus
+    on two inline shards."""
+    if name == "regexlib16":
+        patterns = load_dataset("RegexLib", 16, 1)
+        data = dataset_stream(
+            patterns,
+            random.Random(7),
+            256 * 1024,
+            PROFILES["RegexLib"].literal_pool,
+        )
+        return patterns, data, {}
+    if name == "sharded":
+        patterns, data, options = _set("golden")
+        return patterns, data, dict(
+            options=options, engine="sharded", shards=2,
+            shard_backend="inline",
+        )
+    patterns, data, options = _set(name)
+    return patterns, data, {"options": options}
+
+
+def _tier_counters(ps):
+    """The fused matcher's counter record, or each inline shard's."""
+    if ps._sharded is not None:
+        return [dict(shard.worker_stats) for shard in ps._sharded._shards]
+    return [ps._fused.counters()]
+
+
+def _parity_run(name, feed, stride=None):
+    """Events (absolute ends) and counter records of one scan: a whole
+    ``scan()`` when ``feed`` is None, else ``feed``-byte feeds and
+    ``finish()``; profiled at ``stride`` when given."""
+    patterns, data, kwargs = _parity_set(name)
+    session = (
+        profiler.profile_session(stride=stride, input_len=len(data))
+        if stride else contextlib.nullcontext()
+    )
+    with PatternSet(patterns, **kwargs) as ps, session as prof:
+        if feed is None:
+            events = [(m.pattern_id, m.end) for m in ps.scan(data)]
+        else:
+            events = []
+            for base in range(0, len(data), feed):
+                events += [
+                    (m.pattern_id, base + m.end)
+                    for m in ps.feed(data[base : base + feed])
+                ]
+            events += [(m.pattern_id, m.end) for m in ps.finish()]
+        profile = prof.finish() if stride else None
+        return events, _tier_counters(ps), profile
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_run(name, feed):
+    events, counters, _ = _parity_run(name, feed)
+    return events, counters
+
+
+class TestTierParity:
+    """A profiled scan runs the plain scan's tiers: the same events, the
+    same counter records, every fed byte served once by the table, the
+    bitset step or a prefilter skip, and one probe per ``stride`` bytes
+    (skipped bytes and the anchored start step included)."""
+
+    @pytest.mark.parametrize("stride", (1, 7, 64))
+    @pytest.mark.parametrize("feed", (None, 1, 7, 64, 4096))
+    @pytest.mark.parametrize(
+        "name", ("golden", "gated", "anchored", "regexlib16", "sharded")
+    )
+    def test_profiled_scan_keeps_events_and_counters(self, name, feed, stride):
+        size = len(_parity_set(name)[1])
+        plain_events, plain_counters = _plain_run(name, feed)
+        assert plain_events
+        events, counters, profile = _parity_run(name, feed, stride)
+        assert events == plain_events
+        assert counters == plain_counters
+        for record in counters:
+            assert (
+                record["steps_table"]
+                + record["steps_bitset"]
+                + record["skipped_bytes"]
+            ) == size
+        assert profile.samples == len(counters) * (size // stride)
+        assert profile.input_bytes == size
+        for key in ("steps_table", "steps_bitset", "skipped_bytes",
+                    "armed_bytes"):
+            assert profile.stepping[key] == sum(r[key] for r in counters)
+
+    def test_gated_and_regexlib_sets_skip(self):
+        for name in ("gated", "regexlib16"):
+            (record,) = _plain_run(name, None)[1]
+            assert record["skipped_bytes"] > 0, name
+
+    def test_drain_on_probe_byte_skips_the_rest_of_the_gap(self):
+        """``abbbc`` at offsets 10-14 is armed only at 10; the unarmed
+        span after it drains on byte 15, the 16th stream byte, which is
+        a probe byte at stride 16.  The span still ends there and the
+        rest of the gap is skipped, as in a plain scan."""
+        data = b"." * 10 + b"abbbc" + b"." * 40
+        plain = PatternSet(["ab{3}c"])
+        expected = plain.scan(data)
+        assert expected and plain._fused.counters()["skipped_bytes"] == 44
+        ps = PatternSet(["ab{3}c"])
+        with profiler.profile_session(stride=16) as prof:
+            assert ps.scan(data) == expected
+        assert ps._fused.counters() == plain._fused.counters()
+        assert prof.finish().samples == len(data) // 16
 
 
 class TestAttribution:
@@ -158,15 +278,6 @@ class TestAttribution:
         offsets = [p["offset"] for p in series]
         assert offsets == sorted(offsets)
 
-    def test_byte_classes_have_costs(self):
-        _, profile = _scan("fused", prof=True)
-        assert profile.byte_classes
-        for row in profile.byte_classes:
-            assert row["sampled"] >= 1
-            assert row["mean_us"] >= 0.0
-        totals = [c["total_us"] for c in profile.byte_classes]
-        assert totals == sorted(totals, reverse=True)
-
     def test_sharded_inline_merges_by_global_id(self):
         _, profile = _scan(
             "sharded", prof=True, shards=2, shard_backend="inline"
@@ -177,9 +288,28 @@ class TestAttribution:
         assert sum(
             r["activation_share"] for r in profile.patterns
         ) == pytest.approx(1.0)
-        scopes = {c["scope"] for c in profile.byte_classes}
-        assert all(s.startswith("shard-") for s in scopes)
-        assert len(scopes) == 2
+        # Each shard walks the whole input under its own label.
+        assert profile.input_bytes == len(DATA)
+        assert profile.samples == 2 * (len(DATA) // 16)
+
+    def test_rebuilt_matcher_continues_stream_offset(self):
+        """``add_patterns`` swaps in a new fused matcher mid-stream; its
+        binding picks up the stream offset under the same label, so the
+        second half lands in the second half of the heatmap."""
+        data = b"abbc xy by zz " * 258
+        with profiler.profile_session(
+            stride=16, input_len=3600, heatmap_buckets=8
+        ) as prof:
+            ps = PatternSet(["ab{2,4}c", "xy"])
+            ps.feed(data[:1800])
+            ps.add_patterns(["by"])
+            ps.feed(data[1800:3600])
+        profile = prof.finish()
+        assert profile.input_bytes == 3600
+        assert profile.samples == 3600 // 16
+        density = profile.heatmap["density"]
+        assert len(density) == 8
+        assert all(d > 0 for d in density)
 
     def test_series_stays_bounded(self):
         prof = ScanProfiler(stride=1, input_len=1 << 16)
@@ -202,7 +332,15 @@ class TestArtifact:
         assert loaded.to_json() == profile.to_json()
         raw = json.load(open(path))
         assert raw["artifact"] == "ScanProfile"
-        assert raw["version"] == 1
+        assert raw["version"] == 2
+        assert "byte_classes" not in raw
+
+    def test_loads_version_1(self):
+        _, profile = _scan("fused", prof=True)
+        raw = dict(profile.to_json(), version=1, byte_classes=[{"class_id": 0}])
+        loaded = ScanProfile.from_json(raw)
+        assert loaded.patterns == profile.patterns
+        assert "byte_classes" not in loaded.to_json()
 
     def test_pattern_sources_included(self):
         ps = PatternSet(PATTERNS, engine="fused")
@@ -217,7 +355,9 @@ class TestArtifact:
 class TestCLI:
     def test_profile_verb_regexlib(self, tmp_path):
         """The acceptance flow: profile a RegexLib workload, shares sum
-        to ~1.0, heatmap non-empty."""
+        to ~1.0, heatmap non-empty.  The scan skips all but 33 of the
+        8,192 bytes, and no 64th byte is among the live ones, so every
+        byte is probed."""
         from repro.cli import main
 
         patterns = load_dataset("RegexLib", 8, 1)
@@ -241,6 +381,8 @@ class TestCLI:
                     str(input_path),
                     "--profile-out",
                     str(out),
+                    "--stride",
+                    "1",
                 ]
             )
             == 0
