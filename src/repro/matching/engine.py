@@ -458,7 +458,8 @@ class PatternSet:
         # feeds) rebase a \b-adjusted seam event to the previous chunk's
         # final byte, which lands out of order in the concatenated feed
         # output; one sort restores the canonical (end, id) stream.
-        out.sort(key=lambda m: (m.end, m.pattern_id))
+        if len(out) > 1:
+            out.sort(key=lambda m: (m.end, m.pattern_id))
         return out
 
     def feed(self, data: bytes) -> List[Match]:
@@ -508,10 +509,11 @@ class PatternSet:
         if self._sharded is not None:
             pattern_ids = [pid for pid, _end in self._sharded.finish()]
         elif self._fused is not None:
+            fired = self._fused.finish()
+            if not fired:
+                return []
             ids = self._fused_ids
-            pattern_ids = [
-                ids[slot] for slot, _end in self._fused.finish()
-            ]
+            pattern_ids = [ids[slot] for slot, _end in fired]
         else:
             for slot, matcher in enumerate(self._matchers):
                 if isinstance(matcher, FusedMatcher) and matcher.finish():
@@ -541,6 +543,8 @@ class PatternSet:
                 fused.feed(data) if prof is None
                 else prof.feed(fused, data, ids)
             )
+            if not events:
+                return []
             return [Match(ids[slot], base + offset) for slot, offset in events]
         events = _per_pattern_events(
             data, base, zip(self._pattern_ids, self._matchers)
@@ -564,7 +568,7 @@ class PatternSet:
         flight record."""
         collect = telemetry.metrics_enabled()
         fused = self._fused
-        if fused is not None:
+        if collect and fused is not None:
             before = fused.counters()
         with telemetry.span(
             "engine.feed", "engine", engine=self.engine, symbols=len(data)

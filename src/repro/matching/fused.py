@@ -28,7 +28,9 @@ first, all producing byte-identical match streams:
    around the hits (plus an unconditional tail window covering
    occurrences that straddle into the next chunk).  Outside those
    windows the activation decays with *reduced* start-state injection
-   and, once empty, the remaining gap is skipped outright.
+   and, once empty, the remaining gap is skipped outright.  A pattern
+   whose every start state is ``^``-gated is start-only: no window can
+   arm it, so it is neither swept nor in the way of a skip.
 2. **Dense transition table** — hot activation masks are interned as
    dense state ids and stepped through one successor column per
    byte-equivalence class (two bytes are equivalent iff they select the
@@ -40,7 +42,8 @@ first, all producing byte-identical match streams:
    is emptied in place and refilled from the current mask, as RE2
    resets its DFA cache, and is abandoned for tier 3 only when the
    interval since the previous flush scanned fewer than
-   :data:`MIN_BYTES_PER_FILL` bytes per fill.
+   :data:`MIN_BYTES_PER_FILL` bytes per fill.  A start column, one
+   entry per byte class, serves the stream-offset-0 step.
 3. **Bitset stepping with a lazy-DFA cache** — the big-int closure step
    memoised as ``(active_mask, byte) -> (next_mask, fired pattern ids)``
    in a bounded LRU.  It serves scans with the table off
@@ -365,14 +368,18 @@ class _PrefilterPlan:
     """The merged, chunk-time view of a pattern set's literal contracts.
 
     ``hints`` is the deduplicated ``(literal, pre)`` sweep list;
-    ``open_initial`` the injection mask of the always-on (non-gated)
-    patterns; ``tail`` the unconditional end-of-chunk arming width that
-    covers literal occurrences straddling into the next chunk; and
-    ``skippable`` whether a drained activation allows skipping bytes at
-    all (only when *every* pattern is gated).
+    ``open_initial`` the per-byte injection mask of the always-on
+    (non-gated) patterns; ``tail`` the unconditional end-of-chunk arming
+    width that covers literal occurrences straddling into the next
+    chunk; ``start_only`` the number of patterns no window can arm (no
+    per-byte start state); and ``skippable`` whether a drained
+    activation allows skipping bytes at all (only when *every* pattern
+    with per-byte start states is gated).
     """
 
-    __slots__ = ("hints", "open_initial", "tail", "gated", "skippable")
+    __slots__ = (
+        "hints", "open_initial", "tail", "gated", "start_only", "skippable"
+    )
 
     def __init__(
         self,
@@ -380,24 +387,36 @@ class _PrefilterPlan:
         open_initial: int,
         tail: int,
         gated: FrozenSet[int],
+        start_only: int,
     ) -> None:
         self.hints = hints
         self.open_initial = open_initial
         self.tail = tail
         self.gated = gated
+        self.start_only = start_only
         self.skippable = open_initial == 0
 
 
 def _build_plan(fused: FusedAutomaton) -> Optional[_PrefilterPlan]:
-    """Build the prefilter plan for ``fused``; None when nothing is gated."""
+    """Build the prefilter plan for ``fused`` from each pattern's
+    per-byte start states (``initial - boi``); None when it would
+    neither sweep a literal nor skip a byte.
+
+    A pattern without per-byte start states is *start-only*: only the
+    stream-offset-0 step arms it (every start is ``^``-gated), so no
+    window can.  Its literals are not swept and it never blocks
+    skipping.  Every other pattern is gated by its literals or open."""
     literals = fused.literals
     if not literals or len(literals) != fused.num_patterns:
         return None
+    state_pattern = fused.state_pattern
+    per_byte = fused.initial - fused.boi
+    armable = {state_pattern[state] for state in per_byte}
     entries = [
-        (slot, lits) for slot, lits in enumerate(literals) if lits is not None
+        (slot, lits)
+        for slot, lits in enumerate(literals)
+        if lits is not None and slot in armable
     ]
-    if not entries:
-        return None
     # Cap the per-chunk find sweep: un-gate the hint-heaviest patterns
     # until the combined literal set is small enough to pay off.
     total = sum(len(lits.hints) for _, lits in entries)
@@ -406,14 +425,13 @@ def _build_plan(fused: FusedAutomaton) -> Optional[_PrefilterPlan]:
         while entries and total > MAX_PLAN_LITERALS:
             _, dropped = entries.pop()
             total -= len(dropped.hints)
-    if not entries:
-        return None
     gated = frozenset(slot for slot, _ in entries)
     open_initial = 0
-    state_pattern = fused.state_pattern
-    for state in fused.initial:
+    for state in per_byte:
         if state_pattern[state] not in gated:
             open_initial |= 1 << state
+    if not gated and open_initial:
+        return None
     merged: Dict[bytes, int] = {}
     for _, lits in entries:
         for hint in lits.hints:
@@ -423,8 +441,10 @@ def _build_plan(fused: FusedAutomaton) -> Optional[_PrefilterPlan]:
     hints = tuple(
         sorted(merged.items(), key=lambda item: (-len(item[0]), item[0]))
     )
-    tail = max(pre + len(literal) for literal, pre in hints) - 1
-    return _PrefilterPlan(hints, open_initial, tail, gated)
+    tail = max((pre + len(literal) for literal, pre in hints), default=1) - 1
+    return _PrefilterPlan(
+        hints, open_initial, tail, gated, fused.num_patterns - len(armable)
+    )
 
 
 class FusedMatcher:
@@ -486,8 +506,8 @@ class FusedMatcher:
         self._open_initial = (
             self._plan.open_initial
             if self._plan is not None
-            else self._initial_mask
-        ) & ~self._boi_mask
+            else self._inject_initial
+        )
         #: Start-state injection per memo key: full, then reduced
         #: (``symbol | 256``, the prefilter's unarmed spans).
         self._injections = (self._inject_initial, self._open_initial)
@@ -522,6 +542,10 @@ class FusedMatcher:
         self._state_emits: List[Tuple[Tuple[int, int], ...]] = []
         #: ``_cols[mode][cls][sid]``: mode 0 full injection, 1 reduced.
         self._cols: List[List[List[int]]] = []
+        #: ``_start_col[cls]``: the id the stream-offset-0 step reaches
+        #: from the empty activation (the ``^``-gated start states
+        #: injected too), -1 until filled.
+        self._start_col: List[int] = []
         if self._table_live:
             class_of_byte, num_classes = byte_class_ids(self._match_masks)
             self._class_table = bytes(class_of_byte)
@@ -532,6 +556,7 @@ class FusedMatcher:
             self._class_rep = reps
             modes = 1 if self._plan is None else 2
             self._cols = [[[] for _ in reps] for _ in range(modes)]
+            self._start_col = [-1] * num_classes
             self._intern(0)
         self.reset()
 
@@ -753,6 +778,7 @@ class FusedMatcher:
         for cols in self._cols:
             for col in cols:
                 col.clear()
+        self._start_col = [-1] * self._num_classes
         self._table_bytes = 0
 
     def _table_blowup(self) -> None:
@@ -827,9 +853,16 @@ class FusedMatcher:
             if pos > at:
                 fire(at, self.active)
                 at += stride
-        for skipped in range(at, end, stride):
-            fire(skipped, 0)
+        self._fire_empty(at, end)
         return pos
+
+    def _fire_empty(self, start: int, end: int) -> None:
+        """Fire the probes of the skipped ``[start, end)`` with the
+        empty activation."""
+        first, stride, fire = self._probe
+        at = first if start <= first else start + (first - start) % stride
+        for offset in range(at, end, stride):
+            fire(offset, 0)
 
     def _run_table(
         self,
@@ -971,13 +1004,34 @@ class FusedMatcher:
         self, symbol: int, out: List[Tuple[int, int]]
     ) -> None:
         """The one transition consuming stream offset 0: full injection
-        including the ``^``-gated start states.  Uncached — it runs at
-        most once per stream."""
-        self.active = self._step(self.active, symbol, self._initial_mask)
-        self.bitset_steps += 1
-        report, report_adj = self._reports(self.active)
-        out.extend((slot, 0) for slot in report)
-        out.extend((slot, -1) for slot in report_adj)
+        including the ``^``-gated start states.  The table serves it
+        from its start column, which the uncached step fills; the
+        uncached step serves it alone when the table is off or was
+        abandoned."""
+        sid = -1
+        if self._table_live and not self.active:
+            cls = self._class_table[symbol]
+            sid = self._start_col[cls]
+            if sid < 0:
+                self.table_misses += 1
+                sid = self._intern(
+                    self._step(0, self._class_rep[cls], self._initial_mask)
+                )
+                if sid >= 0:
+                    self._start_col[cls] = sid
+            else:
+                self.table_hits += 1
+        if sid >= 0:
+            self.table_steps += 1
+            self.active = self._state_masks[sid]
+            for slot, back in self._state_emits[sid]:
+                out.append((slot, -back))
+        else:
+            self.active = self._step(self.active, symbol, self._initial_mask)
+            self.bitset_steps += 1
+            report, report_adj = self._reports(self.active)
+            out.extend((slot, 0) for slot in report)
+            out.extend((slot, -1) for slot in report_adj)
         if self._probe is not None and self._probe[0] == 0:
             self._probe[2](0, self.active)
 
@@ -998,6 +1052,9 @@ class FusedMatcher:
             raw += self._feed_inner(data, 1)
         else:
             raw = self._feed_inner(data)
+        if not raw:
+            self._tail_emits = 0
+            return raw
         raw.sort(key=lambda event: (event[1], event[0]))
         out: List[Tuple[int, int]] = []
         previous: Optional[Tuple[int, int]] = None
@@ -1070,10 +1127,20 @@ class FusedMatcher:
         translated = (
             data.translate(self._class_table) if self._table_live else None
         )
+        skippable = plan.skippable
         pos = start
         for lo, hi in merged:
             if pos < lo:
-                reached = self._run_span(data, translated, pos, lo, False, out)
+                if pos and skippable and not self.active:
+                    # The span before this gap (an armed window, or the
+                    # start step) left nothing live: skip all of it.
+                    reached = pos
+                    if self._probe is not None:
+                        self._fire_empty(pos, lo)
+                else:
+                    reached = self._run_span(
+                        data, translated, pos, lo, False, out
+                    )
                 if reached < lo:
                     self.prefilter_skipped += lo - reached
             self._run_span(data, translated, lo, hi, True, out)
@@ -1160,8 +1227,10 @@ class FusedMatcher:
         }
 
     def prefilter_info(self) -> Optional[Dict[str, object]]:
-        """The active prefilter plan, or None when every pattern is
-        always-on (no usable required literals, or prefilter disabled)."""
+        """The active prefilter plan, or None when it could neither
+        sweep a literal nor skip a byte (prefilter disabled, or always-on
+        patterns and no usable required literal).  ``gated_patterns +
+        open_patterns + start_only_patterns`` is the set's size."""
         plan = self._plan
         if plan is None:
             return None
@@ -1171,7 +1240,10 @@ class FusedMatcher:
                 for literal, pre in plan.hints
             ],
             "gated_patterns": len(plan.gated),
-            "open_patterns": self.fused.num_patterns - len(plan.gated),
+            "open_patterns": (
+                self.fused.num_patterns - len(plan.gated) - plan.start_only
+            ),
+            "start_only_patterns": plan.start_only,
             "tail_bytes": plan.tail,
             "skippable": plan.skippable,
             "skipped_bytes": self.prefilter_skipped,

@@ -435,12 +435,13 @@ class TestTableSlowPath:
 
     def test_confirm_report(self):
         # ``\bend\b`` reports from its confirm state one byte past the
-        # match (``back`` 1); the bitset tier steps only stream byte 0.
+        # match (``back`` 1); the table serves stream byte 0 too, from
+        # its start column.
         matcher = self._run(
             [r"\bend\b", "xy"], b"the end, ended; end xy " * 4,
             prefilter=False,
         )
-        assert matcher.table_info()["steps_bitset"] == 1
+        assert matcher.table_info()["steps_bitset"] == 0
         assert any(
             back == 1 for emits in matcher._state_emits for _, back in emits
         )

@@ -11,11 +11,14 @@ gated, a drained activation skips the rest of a gap, so skipped bytes
 enter the count (both full corpora keep always-on patterns).
 """
 
+import sys
+
 import pytest
 
 from repro import telemetry
 from repro.matching import PatternSet
-from repro.telemetry import flight
+from repro.matching.fused import FusedMatcher
+from repro.telemetry import flight, profiler
 
 from .test_anchored_corpus import CORPUS as ANCHORED_CORPUS
 from .test_anchored_corpus import OPTIONS as ANCHORED_OPTIONS
@@ -86,3 +89,35 @@ def test_instrumented_scan_keeps_stream_and_tiers(corpus, mode):
     assert matcher.table_info()["live"]
     cache = matcher.cache_info()
     assert cache["hits"] + cache["misses"] == 0
+
+
+@pytest.mark.parametrize("mode", ("flight", "profiler"))
+def test_counter_record_built_only_for_its_readers(monkeypatch, mode):
+    """Only the metrics branch diffs ``counters()`` across a block, so
+    the instrumented feed builds the record once per block for the
+    flight recorder's state note, and never for the profiler alone."""
+    patterns, data, options = _set("golden")
+    ps = PatternSet(patterns, options=options, engine="fused")
+    calls = []
+    counters = FusedMatcher.counters
+
+    def counting(matcher):
+        # The profiler reads the record itself (at bind time and for
+        # its memo series): count only the feed wrapper's calls.
+        if sys._getframe(1).f_code.co_name == "_feed_instrumented":
+            calls.append(matcher)
+        return counters(matcher)
+
+    monkeypatch.setattr(FusedMatcher, "counters", counting)
+    blocks = [data[base : base + 64] for base in range(0, len(data), 64)]
+    assert len(blocks) > 1
+    if mode == "flight":
+        flight.enable()
+        for block in blocks:
+            ps.feed(block)
+        assert len(calls) == len(blocks)
+    else:
+        with profiler.profile_session(stride=16):
+            for block in blocks:
+                ps.feed(block)
+        assert calls == []

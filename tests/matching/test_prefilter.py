@@ -25,10 +25,16 @@ from repro.compiler.prefilter import (
     extract_literals,
     max_match_len,
 )
-from repro.matching import build_fused
+from repro.matching import PatternSet, build_fused
 from repro.regex.generate import random_match, random_regex
 from repro.regex.parser import parse
-from repro.workloads import PROFILES, dataset_stream, generate_pattern
+from repro.workloads import (
+    PROFILES,
+    WORKLOAD_PROFILES,
+    dataset_stream,
+    generate_pattern,
+    import_rules,
+)
 
 OPTIONS = CompilerOptions(bv_size=8, unfold_threshold=2)
 
@@ -152,6 +158,73 @@ class TestCompiledIntegration:
         assert info["literals"] == [{"literal": "needle", "pre": 0}]
         # The always-on pattern keeps matching inside unarmed gaps.
         assert matcher.scan(b"zz error zz needle") == [(1, 7), (0, 17)]
+
+
+class TestStartOnlyPatterns:
+    """A pattern whose every start state is ``^``-gated is armed only by
+    the stream-offset-0 step: its literals are not swept and it never
+    blocks skipping, and ``prefilter_info()`` counts it apart."""
+
+    @staticmethod
+    def _info(patterns):
+        info = PatternSet(patterns, engine="fused")._fused.prefilter_info()
+        if info is not None:
+            assert (
+                info["gated_patterns"]
+                + info["open_patterns"]
+                + info["start_only_patterns"]
+            ) == len(patterns)
+        return info
+
+    @staticmethod
+    def _profile(name):
+        lines = WORKLOAD_PROFILES[name].ruleset_lines()
+        return import_rules(lines).accepted_patterns
+
+    def test_log_scan_plan(self):
+        info = self._info(self._profile("log_scan"))
+        counts = (
+            info["gated_patterns"],
+            info["open_patterns"],
+            info["start_only_patterns"],
+        )
+        assert counts == (1, 0, 3)
+        assert info["skippable"] and info["tail_bytes"] == 15
+        assert info["literals"] == [{"literal": "connection timed", "pre": 0}]
+
+    def test_ids_plan(self):
+        info = self._info(self._profile("ids"))
+        counts = (
+            info["gated_patterns"],
+            info["open_patterns"],
+            info["start_only_patterns"],
+        )
+        assert counts == (2, 0, 2)
+        assert len(info["literals"]) == 9 and info["tail_bytes"] == 4
+        assert info["skippable"]
+
+    def test_pii_has_no_plan(self):
+        assert self._info(self._profile("pii")) is None
+
+    def test_partly_anchored_pattern_stays_gated(self):
+        # ``^ab|cd`` arms ``cd`` at every byte, so its literals gate it.
+        info = self._info(["^ab|cd", "^xyz"])
+        assert (info["gated_patterns"], info["start_only_patterns"]) == (1, 1)
+
+    def test_start_only_set_skips_without_literals(self):
+        info = self._info([r"^\d{4}-", "^WARN"])
+        assert info["literals"] == [] and info["skippable"]
+        assert info["start_only_patterns"] == 2
+        ps = PatternSet([r"^\d{4}-", "^WARN"], engine="fused")
+        data = b"WARN disk " + b"x" * 40
+        assert [(m.pattern_id, m.end) for m in ps.scan(data)] == [(1, 3)]
+        counters = ps._fused.counters()
+        assert counters["skipped_bytes"] > 0
+        assert (
+            counters["steps_table"]
+            + counters["steps_bitset"]
+            + counters["skipped_bytes"]
+        ) == len(data)
 
 
 # --- extraction soundness: every match contains a hint in-window --------
