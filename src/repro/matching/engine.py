@@ -471,7 +471,9 @@ class PatternSet:
         i.e. the previous chunk's final byte.  Anchored sets defer their
         ``$`` matches — call :meth:`finish` once the stream ends to
         collect them.  With a ``deadline_s`` budget the clock starts at
-        each call and is checked every ``check_bytes`` bytes.
+        each call and is checked every ``check_bytes`` bytes: by the
+        fused matcher's walk at its cut points, in one feed, and between
+        ``check_bytes`` blocks on the other engines.
         """
         self._stream_len += len(data)
         feed_block = (
@@ -487,10 +489,18 @@ class PatternSet:
         if clock is None:
             return feed_block(data, 0)
         step = self.budget.check_bytes
+        fused = self._fused
+        if fused is not None:  # one block: the walk checks at its cuts
+            fused._deadline = (step - 1, step, lambda *_: clock.check("scan"))
+            step = len(data) or 1
         out: List[Match] = []
-        for base in range(0, len(data), step):
-            clock.check("scan")
-            out.extend(feed_block(data[base : base + step], base))
+        try:
+            for base in range(0, len(data), step):
+                clock.check("scan")
+                out.extend(feed_block(data[base : base + step], base))
+        finally:
+            if fused is not None:
+                fused._deadline = None
         clock.check("scan")
         return out
 

@@ -30,7 +30,9 @@ first, all producing byte-identical match streams:
    windows the activation decays with *reduced* start-state injection
    and, once empty, the remaining gap is skipped outright.  A pattern
    whose every start state is ``^``-gated is start-only: no window can
-   arm it, so it is neither swept nor in the way of a skip.
+   arm it, so it is neither swept nor in the way of a skip.  The case
+   spellings of a ``(?i)`` literal are swept once, over the lower-cased
+   chunk.
 2. **Dense transition table** — hot activation masks are interned as
    dense state ids and stepped through one successor column per
    byte-equivalence class (two bytes are equivalent iff they select the
@@ -48,6 +50,13 @@ first, all producing byte-identical match streams:
    memoised as ``(active_mask, byte) -> (next_mask, fired pattern ids)``
    in a bounded LRU.  It serves scans with the table off
    (``table_states=0``) or abandoned.
+
+A feed is one ordered list of segments, the armed windows and unarmed
+gaps of tier 1 (after the stream-offset-0 step of an anchored set), and
+one loop walks all of it on the table, the row in a local; a fill that
+abandons the table hands the rest of the list to a bitset loop of the
+same shape.  Only a profiler's probes and a deadline's clock checks cut
+the list further.
 
 Soundness of the prefilter rests on a monotone-arming argument: arming
 start states at a *superset* of the true match-start positions never
@@ -121,6 +130,10 @@ _COLUMN_BLOCK = 256
 
 #: Column entry of a drain to the empty activation; below every ``~sid``.
 _DRAIN = -(1 << 62)
+
+#: The walks' cut stack when nothing observes a feed: one sentinel cut
+#: past every offset, never fired.
+_NO_CUTS = ((1 << 62, None),)
 
 #: Cap on the total number of distinct literals one prefilter plan may
 #: sweep per chunk; beyond this the ``bytes.find`` probes stop paying
@@ -367,29 +380,36 @@ def build_fused(
 class _PrefilterPlan:
     """The merged, chunk-time view of a pattern set's literal contracts.
 
-    ``hints`` is the deduplicated ``(literal, pre)`` sweep list;
-    ``open_initial`` the per-byte injection mask of the always-on
-    (non-gated) patterns; ``tail`` the unconditional end-of-chunk arming
-    width that covers literal occurrences straddling into the next
-    chunk; ``start_only`` the number of patterns no window can arm (no
-    per-byte start state); and ``skippable`` whether a drained
-    activation allows skipping bytes at all (only when *every* pattern
-    with per-byte start states is gated).
+    ``hints`` is the deduplicated ``(literal, pre)`` sweep list, and
+    ``folded`` the lower-case literals that stand for all their ASCII
+    case spellings, swept over the lower-cased chunk; ``open_initial``
+    the per-byte injection mask of the always-on (non-gated) patterns;
+    ``tail`` the unconditional end-of-chunk arming width that covers
+    literal occurrences straddling into the next chunk; ``start_only``
+    the number of patterns no window can arm (no per-byte start state);
+    and ``skippable`` whether a drained activation allows skipping bytes
+    at all (only when *every* pattern with per-byte start states is
+    gated).
     """
 
     __slots__ = (
-        "hints", "open_initial", "tail", "gated", "start_only", "skippable"
+        "hints", "folded", "sweeps", "open_initial", "tail", "gated",
+        "start_only", "skippable",
     )
 
     def __init__(
         self,
         hints: Tuple[Tuple[bytes, int], ...],
+        folded: Tuple[Tuple[bytes, int], ...],
         open_initial: int,
         tail: int,
         gated: FrozenSet[int],
         start_only: int,
     ) -> None:
         self.hints = hints
+        self.folded = folded
+        #: ``(folded, literals)`` per sweep of a chunk.
+        self.sweeps = ((False, hints),) + (((True, folded),) if folded else ())
         self.open_initial = open_initial
         self.tail = tail
         self.gated = gated
@@ -438,12 +458,25 @@ def _build_plan(fused: FusedAutomaton) -> Optional[_PrefilterPlan]:
             prev = merged.get(hint.literal)
             if prev is None or hint.pre > prev:
                 merged[hint.literal] = hint.pre
-    hints = tuple(
-        sorted(merged.items(), key=lambda item: (-len(item[0]), item[0]))
+    tail = max((pre + len(lit) for lit, pre in merged.items()), default=1) - 1
+    # ``(?i)`` spells a literal with k letters 2**k ways; a group holding
+    # every spelling is swept once, over the lower-cased chunk
+    # (``bytes.lower`` folds exactly A-Z, as the parser's case fold does).
+    spellings: Dict[bytes, List[bytes]] = {}
+    for literal in merged:
+        spellings.setdefault(literal.lower(), []).append(literal)
+    folded: Dict[bytes, int] = {}
+    for lower, group in spellings.items():
+        letters = sum(97 <= byte <= 122 for byte in lower)
+        if letters and len(group) == 1 << letters:
+            folded[lower] = max(merged.pop(literal) for literal in group)
+    hints, folded_hints = (
+        tuple(sorted(lits.items(), key=lambda item: (-len(item[0]), item[0])))
+        for lits in (merged, folded)
     )
-    tail = max((pre + len(literal) for literal, pre in hints), default=1) - 1
     return _PrefilterPlan(
-        hints, open_initial, tail, gated, fused.num_patterns - len(armable)
+        hints, folded_hints, open_initial, tail, gated,
+        fused.num_patterns - len(armable),
     )
 
 
@@ -511,13 +544,19 @@ class FusedMatcher:
         #: Start-state injection per memo key: full, then reduced
         #: (``symbol | 256``, the prefilter's unarmed spans).
         self._injections = (self._inject_initial, self._open_initial)
+        #: Whether an unarmed segment may skip its bytes once drained.
+        self._skip = self._plan is not None and self._plan.skippable
         self.prefilter_skipped = 0
         self.prefilter_armed = 0
         #: ``(first, stride, fire)`` while a profiler observes a feed
-        #: (:meth:`repro.telemetry.profiler.ScanProfiler.feed`): span
-        #: pieces end on the chunk offsets ``first + k * stride``, where
-        #: ``fire(offset, active)`` reads the activation.  None otherwise.
+        #: (:meth:`repro.telemetry.profiler.ScanProfiler.feed`): the walk
+        #: cuts its segments after the chunk offsets ``first + k * stride``,
+        #: where ``fire(offset, active)`` reads the activation.  None
+        #: otherwise.
         self._probe = None
+        #: The same for a ``deadline_s`` budget (``PatternSet.feed``):
+        #: ``fire`` checks the clock every ``check_bytes`` bytes.
+        self._deadline = None
         # -- table tier ----------------------------------------------------
         self._table_states = table_states
         self._table_byte_limit = table_bytes
@@ -697,8 +736,8 @@ class FusedMatcher:
 
     def _intern(self, mask: int, served: int = 0) -> int:
         """Dense id of ``mask``, interning it on first sight.  A full
-        table is flushed first (``served``: the current span's table
-        bytes so far); -1 when it was abandoned instead."""
+        table is flushed first (``served``: the walk's uncounted table
+        bytes); -1 when it was abandoned instead."""
         sid = self._state_ids.get(mask)
         if sid is not None:
             return sid
@@ -744,7 +783,7 @@ class FusedMatcher:
             self.active = mask
             return -1
         entry = ~nxt if self._state_emits[nxt] else nxt
-        if not nxt and mode and self._plan.skippable:
+        if not nxt and mode and self._skip:
             entry = _DRAIN
         if self.table_flushes == flushes:  # else ``sid`` is gone
             self._cols[mode][cls][sid] = entry
@@ -801,172 +840,217 @@ class FusedMatcher:
                 byte_capacity=self._table_byte_limit,
             )
 
-    # -- span runners --------------------------------------------------
+    # -- the segment walk ----------------------------------------------
+    #
+    # A feed's segments are ``(lo, hi, mode)``: mode 0 steps with full
+    # start-state injection (an armed window, or every byte when there is
+    # no plan), mode 1 with the reduced injection of an unarmed gap, and
+    # mode 2 is the stream-offset-0 step of an anchored set.
 
-    def _run_span(
-        self,
-        data: bytes,
-        translated: Optional[bytes],
-        start: int,
-        end: int,
-        armed: bool,
-        out: List[Tuple[int, int]],
-    ) -> int:
-        """Advance over ``data[start:end]`` appending ``(slot, end)``
-        events.  Returns the position reached: ``end``, or earlier for an
-        unarmed span whose activation provably drained to empty (the
-        caller skips the rest of the gap)."""
-        if start >= end:
-            return end
-        if self._probe is not None:
-            return self._run_probed(data, translated, start, end, armed, out)
-        if self._table_live and translated is not None:
-            return self._run_table(data, translated, start, end, armed, out)
-        return self._run_bitset(data, start, end, armed, out)
+    def _segments(self, data: bytes, start: int) -> List[Tuple[int, int, int]]:
+        """The segments of ``data``: the start step when ``start`` is 1,
+        then ``[start, n)`` cut by the literal sweep and the tail window
+        into armed windows and the unarmed gaps between them (one armed
+        segment when there is no plan).  Counts the armed bytes."""
+        n = len(data)
+        segs = [(0, 1, 2)] if start else []
+        plan = self._plan
+        if start >= n:
+            return segs
+        if plan is None:
+            segs.append((start, n, 0))
+            return segs
+        spans = [(max(n - plan.tail, start), n)]
+        for folded, hints in plan.sweeps:
+            text = data.lower() if folded else data
+            for literal, pre in hints:
+                idx = text.find(literal, start)
+                while idx >= 0:
+                    lo = idx - pre
+                    spans.append((lo if lo > start else start, idx + 1))
+                    idx = text.find(literal, idx + 1)
+        spans.sort()
+        lo, hi = spans[0]
+        if start < lo:
+            segs.append((start, lo, 1))
+        armed = n - lo
+        for next_lo, next_hi in spans:
+            if next_lo > hi:
+                segs.append((lo, hi, 0))
+                segs.append((hi, next_lo, 1))
+                armed -= next_lo - hi
+                lo, hi = next_lo, next_hi
+            elif next_hi > hi:
+                hi = next_hi
+        segs.append((lo, hi, 0))
+        self.prefilter_armed += armed
+        return segs
 
-    def _run_probed(
-        self,
-        data: bytes,
-        translated: Optional[bytes],
-        start: int,
-        end: int,
-        armed: bool,
-        out: List[Tuple[int, int]],
-    ) -> int:
-        """:meth:`_run_span` in pieces that end on the probe bytes, each
-        resuming with the same injection, so every tier steps the bytes a
-        plain span steps.  A piece that drains an unarmed span, even on
-        its probe byte, ends the span there as a plain run does, and the
-        probes of the skipped rest read the empty activation."""
-        first, stride, fire = self._probe
-        drains = not armed and self._plan.skippable
-        at = first if start <= first else start + (first - start) % stride
-        pos = start
-        while pos < end:
-            stop = at + 1 if at < end else end
-            if self._table_live and translated is not None:
-                pos = self._run_table(data, translated, pos, stop, armed, out)
-            else:
-                pos = self._run_bitset(data, pos, stop, armed, out)
-            if drains and not self.active:
-                break
-            if pos > at:
-                fire(at, self.active)
-                at += stride
-        self._fire_empty(at, end)
-        return pos
+    def _cut(self, segs, n: int):
+        """Cut ``segs`` after every offset at which the profiler's probe
+        or the deadline check fires, so that each cut point ends a
+        segment.  Returns the pieces and the cut stack: ``(offset,
+        fire)`` last first, above the sentinel of :data:`_NO_CUTS`."""
+        observers = [obs for obs in (self._probe, self._deadline) if obs]
+        cuts = [
+            (offset, fire)
+            for first, stride, fire in observers
+            for offset in range(first, n, stride)
+        ]
+        cuts.sort(key=lambda cut: cut[0], reverse=True)
+        ends = [offset + 1 for offset, _fire in cuts]
+        pieces = []
+        for lo, hi, mode in segs:
+            while ends and ends[-1] < hi:
+                end = ends.pop()
+                if end > lo:
+                    pieces.append((lo, end, mode))
+                    lo = end
+            pieces.append((lo, hi, mode))
+        return pieces, [*_NO_CUTS, *cuts]
 
-    def _fire_empty(self, start: int, end: int) -> None:
-        """Fire the probes of the skipped ``[start, end)`` with the
-        empty activation."""
-        first, stride, fire = self._probe
-        at = first if start <= first else start + (first - start) % stride
-        for offset in range(at, end, stride):
-            fire(offset, 0)
-
-    def _run_table(
-        self,
-        data: bytes,
-        translated: bytes,
-        start: int,
-        end: int,
-        armed: bool,
-        out: List[Tuple[int, int]],
-    ) -> int:
+    def _walk(
+        self, data: bytes, segs, cuts, out: List[Tuple[int, int]]
+    ) -> None:
+        """Walk ``segs`` on the table tier, appending ``(slot, end)``
+        events.  The row stays in a local across every segment.  An
+        unarmed segment entered at row 0 under a skippable plan is
+        skipped without a lookup, unless it starts the chunk (its first
+        byte drains); a drain ends its segment; at each cut point the
+        walk writes ``self.active`` and its counts, then fires.  When a
+        fill abandons the table, the bitset walk takes the rest of the
+        list from the byte it could not serve."""
         t0 = perf_counter()
-        row = self._intern(self.active)
+        row = self._intern(self.active) if self.active else 0
         if row < 0:
             self.table_seconds += perf_counter() - t0
-            return self._run_bitset(data, start, end, armed, out)
-        mode = 0 if armed else 1
-        cols = self._cols[mode]
+            return self._walk_bitset(data, segs, cuts, out)
+        translated = data.translate(self._class_table)
+        masks = self._state_masks
         emits = self._state_emits
+        modes = self._cols
+        skip = self._skip
+        append = out.append
         miss0 = self.table_misses
-        pos = end
-        seg = (
-            translated
-            if start == 0 and end == len(translated)
-            else translated[start:end]
-        )
-        it = iter(seg)
-        for cls in it:
-            nxt = cols[cls][row]
-            if nxt < 0:
-                off = end - 1 - it.__length_hint__()
-                if nxt == -1:
-                    nxt = self._fill(row, cls, mode, off - start)
-                    if nxt == -1:
-                        return self._abort_span(
-                            data, start, off, end, armed, miss0, t0, out
-                        )
-                if nxt == _DRAIN:  # drained to the empty activation
-                    row = 0
-                    pos = off + 1
+        served = 0  # bytes served since the counts were last written
+        cut = cuts[-1][0]
+        rest = iter(segs)
+        for lo, hi, mode in rest:
+            if mode == 1 and skip and lo and not row:
+                self.prefilter_skipped += hi - lo
+            elif mode == 2:
+                # From the empty activation, the ``^``-gated start
+                # states injected too: the start column.
+                cls = translated[0]
+                row = self._start_col[cls]
+                if row < 0:
+                    self.table_misses += 1
+                    row = self._intern(
+                        self._step(0, self._class_rep[cls], self._initial_mask)
+                    )
+                    if row < 0:
+                        off = lo
+                        break
+                    self._start_col[cls] = row
+                for slot, back in emits[row]:
+                    append((slot, -back))
+                served += 1
+            else:
+                cols = modes[mode]
+                it = iter(translated[lo:hi])
+                for cls in it:
+                    nxt = cols[cls][row]
+                    if nxt < 0:
+                        off = hi - 1 - it.__length_hint__()
+                        if nxt == -1:
+                            nxt = self._fill(row, cls, mode, served + off - lo)
+                            if nxt == -1:
+                                row = -1
+                                break
+                        if nxt == _DRAIN:  # drained to the empty activation
+                            self.prefilter_skipped += hi - off - 1
+                            row = 0
+                            hi = off + 1
+                            break
+                        if nxt < 0:
+                            nxt = ~nxt
+                            for slot, back in emits[nxt]:
+                                append((slot, off - back))
+                    row = nxt
+                if row < 0:
                     break
-                if nxt < 0:
-                    nxt = ~nxt
-                    for slot, back in emits[nxt]:
-                        out.append((slot, off - back))
-            row = nxt
-        self.active = self._state_masks[row]
-        served = pos - start
+                served += hi - lo
+            if cut < hi:
+                self.active = masks[row]
+                self.table_steps += served
+                self.table_hits += served - (self.table_misses - miss0)
+                miss0 = self.table_misses
+                served = 0
+                while cut < hi:
+                    offset, fire = cuts.pop()
+                    fire(offset, self.active)
+                    cut = cuts[-1][0]
+        if row < 0:
+            # Abandoned at byte ``off``, whose fill served nothing.
+            served += off - lo
+            self.table_steps += served
+            self.table_hits += served - (self.table_misses - 1 - miss0)
+            self.table_seconds += perf_counter() - t0
+            return self._walk_bitset(data, [(off, hi, mode), *rest], cuts, out)
+        self.active = masks[row]
         self.table_steps += served
-        self.table_hits += max(0, served - (self.table_misses - miss0))
+        self.table_hits += served - (self.table_misses - miss0)
         self.table_seconds += perf_counter() - t0
-        return pos
 
-    def _abort_span(
-        self,
-        data: bytes,
-        start: int,
-        off: int,
-        end: int,
-        armed: bool,
-        miss0: int,
-        t0: float,
-        out: List[Tuple[int, int]],
-    ) -> int:
-        """The table was abandoned mid-span (:meth:`_fill` left the
-        activation before byte ``off`` in ``self.active``): account the
-        bytes served so far and finish the span on tier 3."""
-        served = off - start
-        self.table_steps += served
-        # The abandoning fill's miss served no byte.
-        self.table_hits += served - (self.table_misses - 1 - miss0)
-        self.table_seconds += perf_counter() - t0
-        return self._run_bitset(data, off, end, armed, out)
-
-    def _run_bitset(
-        self,
-        data: bytes,
-        start: int,
-        end: int,
-        armed: bool,
-        out: List[Tuple[int, int]],
-    ) -> int:
+    def _walk_bitset(
+        self, data: bytes, segs, cuts, out: List[Tuple[int, int]]
+    ) -> None:
+        """:meth:`_walk` on the bitset tier: the same skips, drains and
+        cut points, each byte through the LRU-memoised :meth:`_advance`,
+        and the stream-offset-0 step uncached (it runs once a stream)."""
         t0 = perf_counter()
         active = self.active
         advance = self._advance
         append = out.append
-        tag = 0 if armed else 256
-        can_die = not armed and self._plan.skippable
-        pos = end
-        seg = data if start == 0 and end == len(data) else data[start:end]
-        for off, symbol in enumerate(seg, start):
-            active, report, report_adj = advance(active, symbol | tag)
-            if report:
-                for slot in report:
-                    append((slot, off))
-            if report_adj:
-                for slot in report_adj:
-                    append((slot, off - 1))
-            if can_die and not active:
-                pos = off + 1
-                break
+        skip = self._skip
+        stepped = 0  # bytes stepped since the count was last written
+        cut = cuts[-1][0]
+        for lo, hi, mode in segs:
+            if mode == 1 and skip and lo and not active:
+                self.prefilter_skipped += hi - lo
+            elif mode == 2:
+                active = self._step(active, data[0], self._initial_mask)
+                report, report_adj = self._reports(active)
+                out += [(slot, 0) for slot in report]
+                out += [(slot, -1) for slot in report_adj]
+                stepped += 1
+            else:
+                tag = mode << 8
+                can_die = mode == 1 and skip
+                for off, symbol in enumerate(data[lo:hi], lo):
+                    active, report, report_adj = advance(active, symbol | tag)
+                    if report:
+                        for slot in report:
+                            append((slot, off))
+                    if report_adj:
+                        for slot in report_adj:
+                            append((slot, off - 1))
+                    if can_die and not active:
+                        self.prefilter_skipped += hi - off - 1
+                        hi = off + 1
+                        break
+                stepped += hi - lo
+            if cut < hi:
+                self.active = active
+                self.bitset_steps += stepped
+                stepped = 0
+                while cut < hi:
+                    offset, fire = cuts.pop()
+                    fire(offset, active)
+                    cut = cuts[-1][0]
         self.active = active
-        self.bitset_steps += pos - start
+        self.bitset_steps += stepped
         self.bitset_seconds += perf_counter() - t0
-        return pos
 
     # -- matcher API ---------------------------------------------------
 
@@ -980,99 +1064,49 @@ class FusedMatcher:
         confirm byte can report across a chunk seam: the event end is
         then ``-1``, meaning the final byte of the *previous* chunk.
         """
-        if self._anchored:
-            return self._feed_gated(data)
-        if data:
-            self._at_start = False
-        return self._feed_inner(data)
-
-    def _feed_inner(
-        self, data: bytes, start: int = 0
-    ) -> List[Tuple[int, int]]:
-        """Tier dispatch shared by the gated and un-gated feed paths,
-        over ``data[start:]`` with chunk-relative offsets."""
-        if self._plan is not None:
-            return self._feed_prefiltered(data, start)
-        out: List[Tuple[int, int]] = []
-        translated = (
-            data.translate(self._class_table) if self._table_live else None
-        )
-        self._run_span(data, translated, start, len(data), True, out)
-        return out
-
-    def _step_start(
-        self, symbol: int, out: List[Tuple[int, int]]
-    ) -> None:
-        """The one transition consuming stream offset 0: full injection
-        including the ``^``-gated start states.  The table serves it
-        from its start column, which the uncached step fills; the
-        uncached step serves it alone when the table is off or was
-        abandoned."""
-        sid = -1
-        if self._table_live and not self.active:
-            cls = self._class_table[symbol]
-            sid = self._start_col[cls]
-            if sid < 0:
-                self.table_misses += 1
-                sid = self._intern(
-                    self._step(0, self._class_rep[cls], self._initial_mask)
-                )
-                if sid >= 0:
-                    self._start_col[cls] = sid
-            else:
-                self.table_hits += 1
-        if sid >= 0:
-            self.table_steps += 1
-            self.active = self._state_masks[sid]
-            for slot, back in self._state_emits[sid]:
-                out.append((slot, -back))
-        else:
-            self.active = self._step(self.active, symbol, self._initial_mask)
-            self.bitset_steps += 1
-            report, report_adj = self._reports(self.active)
-            out.extend((slot, 0) for slot in report)
-            out.extend((slot, -1) for slot in report_adj)
-        if self._probe is not None and self._probe[0] == 0:
-            self._probe[2](0, self.active)
-
-    def _feed_gated(self, data: bytes) -> List[Tuple[int, int]]:
-        """Anchored feed: byte 0 of the stream gets the full-injection
-        start step, the rest runs through the normal tiers, and the
-        event stream is sorted and deduplicated (a normal final at byte
-        ``k`` and a ``\\b`` confirm final at byte ``k + 1`` report the
-        same match end; ``_tail_emits`` extends the dedup across the
-        previous chunk seam and against :meth:`finish`)."""
         n = len(data)
         if not n:
             return []
+        start = 0
         if self._at_start:
             self._at_start = False
-            raw: List[Tuple[int, int]] = []
-            self._step_start(data[0], raw)
-            raw += self._feed_inner(data, 1)
-        else:
-            raw = self._feed_inner(data)
-        if not raw:
-            self._tail_emits = 0
-            return raw
-        raw.sort(key=lambda event: (event[1], event[0]))
+            start = 1 if self._anchored else 0
+        segs = self._segments(data, start)
+        cuts = _NO_CUTS
+        if self._probe is not None or self._deadline is not None:
+            segs, cuts = self._cut(segs, n)
         out: List[Tuple[int, int]] = []
-        previous: Optional[Tuple[int, int]] = None
+        # The start column serves the empty activation only, so a
+        # restored live one takes the whole feed on the bitset tier.
+        if self._table_live and not (start and self.active):
+            self._walk(data, segs, cuts, out)
+        else:
+            self._walk_bitset(data, segs, cuts, out)
+        if not self._anchored:
+            return out
+        # Sort and deduplicate: a normal final at byte ``k`` and a ``\b``
+        # confirm final at byte ``k + 1`` report the same match end, and
+        # ``_tail_emits`` extends the dedup across the previous chunk
+        # seam and against :meth:`finish`.
+        if not out:
+            self._tail_emits = 0
+            return out
+        if len(out) > 1:
+            out.sort(key=lambda event: (event[1], event[0]))
+        events: List[Tuple[int, int]] = []
         tail = 0
         suppressed = self._tail_emits
-        last = n - 1
-        for slot, end in raw:
-            if end == -1 and (suppressed >> slot) & 1:
+        for event in out:
+            slot, end = event
+            if end == -1 and (suppressed >> slot) & 1 or (
+                events and events[-1] == event
+            ):
                 continue
-            event = (slot, end)
-            if event == previous:
-                continue
-            previous = event
-            out.append(event)
-            if end == last:
+            events.append(event)
+            if end == n - 1:
                 tail |= 1 << slot
         self._tail_emits = tail
-        return out
+        return events
 
     def finish(self) -> List[Tuple[int, int]]:
         """End-of-input finalisation: report the ``$``-gated candidates
@@ -1090,64 +1124,6 @@ class FusedMatcher:
             for slot in self._report_ids(fired)
             if not (suppressed >> slot) & 1
         ]
-
-    def _feed_prefiltered(
-        self, data: bytes, start: int
-    ) -> List[Tuple[int, int]]:
-        """Tier-1 feed over ``data[start:]``: sweep it for
-        required-literal occurrences, arm gated start states only inside
-        the windows around them (plus the straddle-covering tail window),
-        and run everything between with reduced injection — skipping
-        outright once drained."""
-        out: List[Tuple[int, int]] = []
-        n = len(data)
-        if start >= n:
-            return out
-        plan = self._plan
-        spans: List[Tuple[int, int]] = []
-        for literal, pre in plan.hints:
-            idx = data.find(literal, start)
-            while idx >= 0:
-                lo = idx - pre
-                spans.append((lo if lo > start else start, idx + 1))
-                idx = data.find(literal, idx + 1)
-        tail_lo = n - plan.tail
-        spans.append((tail_lo if tail_lo > start else start, n))
-        spans.sort()
-        merged: List[Tuple[int, int]] = []
-        cur_lo, cur_hi = spans[0]
-        for lo, hi in spans[1:]:
-            if lo <= cur_hi:
-                if hi > cur_hi:
-                    cur_hi = hi
-            else:
-                merged.append((cur_lo, cur_hi))
-                cur_lo, cur_hi = lo, hi
-        merged.append((cur_lo, cur_hi))
-        translated = (
-            data.translate(self._class_table) if self._table_live else None
-        )
-        skippable = plan.skippable
-        pos = start
-        for lo, hi in merged:
-            if pos < lo:
-                if pos and skippable and not self.active:
-                    # The span before this gap (an armed window, or the
-                    # start step) left nothing live: skip all of it.
-                    reached = pos
-                    if self._probe is not None:
-                        self._fire_empty(pos, lo)
-                else:
-                    reached = self._run_span(
-                        data, translated, pos, lo, False, out
-                    )
-                if reached < lo:
-                    self.prefilter_skipped += lo - reached
-            self._run_span(data, translated, lo, hi, True, out)
-            self.prefilter_armed += hi - lo
-            pos = hi
-        # The tail window always ends at n, so no trailing gap remains.
-        return out
 
     def scan(self, data: bytes) -> List[Tuple[int, int]]:
         """Fresh-state :meth:`feed`, plus end-of-input finalisation on
@@ -1229,16 +1205,24 @@ class FusedMatcher:
     def prefilter_info(self) -> Optional[Dict[str, object]]:
         """The active prefilter plan, or None when it could neither
         sweep a literal nor skip a byte (prefilter disabled, or always-on
-        patterns and no usable required literal).  ``gated_patterns +
-        open_patterns + start_only_patterns`` is the set's size."""
+        patterns and no usable required literal).  ``literals`` are swept
+        as spelled, ``folded_literals`` over the lower-cased chunk, one
+        for all the case spellings of a ``(?i)`` literal.
+        ``gated_patterns + open_patterns + start_only_patterns`` is the
+        set's size."""
         plan = self._plan
         if plan is None:
             return None
-        return {
-            "literals": [
+        literals, folded = (
+            [
                 {"literal": literal.decode("latin-1"), "pre": pre}
-                for literal, pre in plan.hints
-            ],
+                for literal, pre in hints
+            ]
+            for hints in (plan.hints, plan.folded)
+        )
+        return {
+            "literals": literals,
+            "folded_literals": folded,
             "gated_patterns": len(plan.gated),
             "open_patterns": (
                 self.fused.num_patterns - len(plan.gated) - plan.start_only

@@ -19,20 +19,22 @@ hardware.  This module is the software lens for the same question:
 
 :meth:`ScanProfiler.feed` hands each chunk to the matcher's own
 :meth:`~repro.matching.fused.FusedMatcher.feed` once, with a probe
-installed: the matcher ends a span piece on every ``stride``-th stream
-byte, passes the activation there to the probe, and resumes the span
-with the same injection.  Splitting a span and resuming from the same
-activation is exact, as a chunk seam is (the simultaneous-automata
-argument), so a profiled scan steps the same bytes on the same tiers,
-and leaves the same :meth:`~repro.matching.fused.FusedMatcher.counters`,
-as a plain one.  The extra cost is the pieces and one decomposition
+installed: the matcher's walk cuts its segments after every
+``stride``-th stream byte, passes the activation there to the probe, and
+resumes with the same injection.  Cutting a segment and resuming from
+the same activation is exact, as a chunk seam is (the
+simultaneous-automata argument), so a profiled scan steps the same bytes
+on the same tiers, and leaves the same
+:meth:`~repro.matching.fused.FusedMatcher.counters`, as a plain one.  A
+``deadline_s`` budget's clock checks cut the same walk, so the two
+compose.  The extra cost is the pieces and one decomposition
 per probe, a step per live state: at the default stride of 64, 256 KiB
 scans on a 2-vCPU host read 1.4-2.2x (RegexLib-64) and 1.8-2.7x
 (RegexLib-16, whose plain scan skips 99% of its bytes) the time of a
 plain scan (best of 5 scans, three runs).  When no profiler is active the
 engines never reach this module: the scan path pays only the single
 ``profiling_enabled()`` check it already shares with telemetry, and the
-matcher one ``_probe`` test per span.
+matcher one ``_probe`` test per feed.
 
 Typical use (the ``profile`` CLI verb wraps exactly this)::
 
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: Default sampling stride in bytes: a 16 KiB input is probed 256
-#: times, plenty for shares and heatmaps.  Each probe cuts a span and
+#: times, plenty for shares and heatmaps.  Each probe cuts a segment and
 #: decomposes the activation per pattern, so a smaller stride costs
 #: more (see the module docstring).
 DEFAULT_STRIDE = 64

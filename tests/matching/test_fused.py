@@ -1,5 +1,6 @@
 """Unit tests for the fused multi-pattern scan engine."""
 
+import functools
 import gc
 import random
 import tracemalloc
@@ -13,7 +14,14 @@ from repro.matching import Match, PatternSet, build_fused, fuse_patterns
 from repro.matching.fused import FusedMatcher, fuse_nfas
 from repro.matching.oracle import match_ends as oracle_ends
 from repro.resilience import Budget
-from repro.workloads import PROFILES, dataset_stream, load_dataset, match_rate_stream
+from repro.workloads import (
+    PROFILES,
+    WORKLOAD_PROFILES,
+    dataset_stream,
+    import_rules,
+    load_dataset,
+    match_rate_stream,
+)
 
 OPTIONS = CompilerOptions(bv_size=8, unfold_threshold=2)
 
@@ -474,6 +482,99 @@ class TestTableSlowPath:
         assert info["steps_table"] > 0 and info["steps_bitset"] > 0
         # The abandoning fill served no byte.
         assert info["hits"] + info["misses"] == info["steps_table"] + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_case(name):
+    """``(compiled, records, stream)``: a workload profile's rule lines
+    and 150 records (30% matching), scanned one by one and joined into
+    one stream, or RegexLib-16 and a 6,000-byte stream at a 0% or 50%
+    plant rate."""
+    if name.startswith("regexlib"):
+        patterns = load_dataset("RegexLib", 16, 1)
+        pool = PROFILES["RegexLib"].literal_pool
+        rate = int(name[len("regexlib"):]) / 100
+        rng = random.Random(7)
+        stream = match_rate_stream(patterns, rng, 6000, pool, rate)
+        return compile_all(patterns, CompilerOptions()), (), stream
+    profile = WORKLOAD_PROFILES[name]
+    patterns = import_rules(profile.ruleset_lines()).accepted_patterns
+    records = tuple(profile.records(random.Random(1), 150, 0.3))
+    compiled = compile_all(patterns, CompilerOptions())
+    return compiled, records, b"\n".join(records)
+
+
+class TestWalkParity:
+    """One segment walk per feed on the workload rule sets: with the
+    prefilter plan each set gets (none for pii), on the table, on the
+    bitset tier alone and on a two-state table that is abandoned
+    mid-walk, every scan and feed equals the unfiltered bitset tier's,
+    and every fed byte is served once by the table, the bitset step or a
+    skip.  ``TestTableSlowPath`` covers the walk without a plan."""
+
+    CONFIGS = {"default": {}, "bitset": {"table_states": 0},
+               "abandoned": {"table_states": 2}}
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("feed", (None, 1, 7, 4096))
+    @pytest.mark.parametrize(
+        "name", ("log_scan", "ids", "pii", "regexlib0", "regexlib50")
+    )
+    def test_walk_matches_bitset_tier(self, name, feed, config):
+        compiled, records, stream = _walk_case(name)
+        reference = build_fused(compiled, table_states=0, prefilter=False)
+        matcher = build_fused(compiled, **self.CONFIGS[config])
+        assert (matcher.prefilter_info() is None) == (name == "pii")
+        fed = len(stream)
+        if feed is None:
+            for record in records:
+                assert matcher.scan(record) == reference.scan(record)
+            fed += sum(map(len, records))
+            assert matcher.scan(stream) == reference.scan(stream)
+        else:
+            assert _feed_in(matcher, stream, feed) == reference.scan(stream)
+        counters = matcher.counters()
+        assert (
+            counters["steps_table"]
+            + counters["steps_bitset"]
+            + counters["skipped_bytes"]
+        ) == fed
+        assert counters["table_fallbacks"] == (config == "abandoned")
+
+    @pytest.mark.parametrize("name", ("log_scan", "ids", "regexlib50"))
+    def test_cut_points_read_the_same_activation_on_every_tier(self, name):
+        # A probe every 7 bytes and a deadline check every 5 cut the
+        # segments; each tier fires them in order with the activation a
+        # plain walk leaves there, and keeps its unobserved counters.
+        compiled, _records, stream = _walk_case(name)
+        fired = {}
+        for config, kwargs in self.CONFIGS.items():
+            plain = build_fused(compiled, **kwargs)
+            expected = plain.scan(stream)
+            matcher = build_fused(compiled, **kwargs)
+            cuts = fired[config] = []
+            matcher._probe = (3, 7, lambda at, active: cuts.append((at, active)))
+            matcher._deadline = (4, 5, lambda at, _: cuts.append((at, None)))
+            assert matcher.scan(stream) == expected
+            assert matcher.counters() == plain.counters()
+            probes = [at for at, active in cuts if active is not None]
+            assert probes == list(range(3, len(stream), 7))
+            assert len(cuts) == len(probes) + len(range(4, len(stream), 5))
+        assert fired["default"] == fired["bitset"] == fired["abandoned"]
+
+    @pytest.mark.parametrize("name", ("log_scan", "ids", "regexlib0"))
+    def test_abandoned_table_hands_the_rest_to_the_bitset_loop(self, name):
+        # One scan, one walk: the two-state table serves the first steps
+        # of a prefiltered segment list, and the bitset loop steps and
+        # skips the rest of that same list.
+        compiled, _records, stream = _walk_case(name)
+        matcher = build_fused(compiled, table_states=2)
+        expected = build_fused(compiled, table_states=0, prefilter=False)
+        assert matcher.scan(stream) == expected.scan(stream)
+        counters = matcher.counters()
+        assert counters["table_fallbacks"] == 1
+        assert counters["steps_table"] > 0 and counters["steps_bitset"] > 0
+        assert counters["skipped_bytes"] > 0
 
 
 class TestTableBytes:

@@ -200,8 +200,10 @@ class TestStartOnlyPatterns:
             info["start_only_patterns"],
         )
         assert counts == (2, 0, 2)
-        assert len(info["literals"]) == 9 and info["tail_bytes"] == 4
-        assert info["skippable"]
+        # ``(?i)cmd\.exe$`` spells ``cmd.`` eight ways: one folded sweep.
+        assert info["literals"] == [{"literal": "../..", "pre": 0}]
+        assert info["folded_literals"] == [{"literal": "cmd.", "pre": 0}]
+        assert info["tail_bytes"] == 4 and info["skippable"]
 
     def test_pii_has_no_plan(self):
         assert self._info(self._profile("pii")) is None
@@ -297,3 +299,108 @@ def test_prefiltered_stream_identical_to_bitset(name, seed, stream_seed, chunk):
         for slot, end in prefiltered.feed(stream[start:start + chunk]):
             got.append((slot, start + end))
     assert got == expected
+
+
+# --- case-folded sweep: one find per (?i) literal, the same windows -----
+
+
+def _windows(spans):
+    """Merge ``(lo, hi)`` spans as the plan does (touching ones join)."""
+    merged = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [tuple(window) for window in merged]
+
+
+@st.composite
+def _case_mixed(draw):
+    """``(pattern, data)``: a ``(?i)`` literal with one to three letters
+    (at most the eight spellings a pattern's hints may hold), and
+    mixed-case bytes built from its random-case spellings, case variants
+    of its bytes and noise."""
+    word = draw(
+        st.text(alphabet="abxy.-", min_size=2, max_size=5).filter(
+            lambda text: 1 <= sum(char.isalpha() for char in text) <= 3
+        )
+    )
+    piece = st.one_of(
+        st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+            lambda upper: "".join(
+                char.upper() if up else char for char, up in zip(word, upper)
+            )
+        ),
+        st.text(alphabet="abxyABXY.- z", max_size=4),
+    )
+    data = "".join(draw(st.lists(piece, max_size=12))).encode()
+    return "(?i)" + word.replace(".", r"\."), data
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    case=_case_mixed(),
+    other=st.sampled_from(["xab", "b-y", "[aA]x", "(?i)b-x", None]),
+)
+def test_folded_sweep_arms_every_spelling(case, other):
+    """The folded plan sweeps the lower-cased chunk once per ``(?i)``
+    literal, yet arms exactly the windows a ``bytes.find`` sweep of every
+    spelling arms, and scans as the unfiltered bitset tier does.  Only a
+    complete set of spellings folds: ``[aA]x`` spells ``ax`` two of four
+    ways and is swept as spelled."""
+    pattern, data = case
+    patterns = [pattern] + ([other] if other else [])
+    compiled = [compile_pattern(p, i, OPTIONS) for i, p in enumerate(patterns)]
+    matcher = build_fused(compiled)
+    plan = matcher._plan
+    assume(plan is not None)
+    spelled = {}
+    for slot in plan.gated:
+        for hint in compiled[slot].literals.hints:
+            spelled[hint.literal] = max(hint.pre, spelled.get(hint.literal, 0))
+    assert plan.folded and len(plan.hints) < len(spelled)
+    n = len(data)
+    spans = [(max(n - plan.tail, 0), n)] if n else []
+    for literal, pre in spelled.items():
+        idx = data.find(literal)
+        while idx >= 0:
+            spans.append((max(idx - pre, 0), idx + 1))
+            idx = data.find(literal, idx + 1)
+    armed = [
+        (lo, hi) for lo, hi, mode in matcher._segments(data, 0) if mode == 0
+    ]
+    assert armed == _windows(spans)
+    expected = build_fused(compiled, table_states=0, prefilter=False)
+    assert matcher.scan(data) == expected.scan(data)
+
+
+def test_folded_literal_arms_at_the_widest_pre():
+    # ``[0-9](ab)`` needs ``ab`` one byte after its start, ``(?i)ab``
+    # none: the folded ``ab`` arms every spelling one byte early.
+    compiled = [
+        compile_pattern(p, i, OPTIONS)
+        for i, p in enumerate(["(?i)ab", "[0-9](ab)"])
+    ]
+    matcher = build_fused(compiled)
+    info = matcher.prefilter_info()
+    assert info["literals"] == []
+    assert info["folded_literals"] == [{"literal": "ab", "pre": 1}]
+    data = b"zz7ab 1Ab 2aB x AB9ab"
+    expected = build_fused(compiled, table_states=0, prefilter=False)
+    assert matcher.scan(data) == expected.scan(data)
+    assert (1, 4) in matcher.scan(data)
+
+
+def test_only_a_complete_set_of_spellings_folds():
+    # ``[aA]x`` holds two of the four spellings of ``ax``: folding them
+    # would arm ``aX`` and ``AX`` too, so both are swept as spelled.
+    info = PatternSet(["[aA]x", "(?i)b-x"])._fused.prefilter_info()
+    assert info["literals"] == [
+        {"literal": "Ax", "pre": 0}, {"literal": "ax", "pre": 0}
+    ]
+    assert info["folded_literals"] == [{"literal": "b-x", "pre": 0}]

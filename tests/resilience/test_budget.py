@@ -1,6 +1,10 @@
 """Budget tests: validation, compile-time limits, unfold bounding, and
 the cooperative scan deadline on every engine."""
 
+import contextlib
+import functools
+import random
+
 import pytest
 
 from repro.compiler.pipeline import CompilerOptions, compile_pattern
@@ -8,6 +12,8 @@ from repro.matching import ENGINES, PatternSet
 from repro.regex.parser import parse
 from repro.regex.rewrite import DEFAULT_MAX_UNFOLD, unfold_all, unfold_repeat
 from repro.resilience import Budget, BudgetExceededError
+from repro.telemetry import profiler
+from repro.workloads import PROFILES, dataset_stream, load_dataset
 
 
 class TestBudgetObject:
@@ -144,6 +150,48 @@ class TestScanDeadline:
         chunked_ps = PatternSet(["ab{2,4}c"], engine="fused")
         chunked_ps.budget = Budget(deadline_s=300.0, check_bytes=7)
         assert chunked_ps.scan(data) == plain
+
+
+@functools.lru_cache(maxsize=None)
+def _regexlib16_stream():
+    """RegexLib-16 and a 64 KiB sparse stream the prefilter mostly skips."""
+    patterns = load_dataset("RegexLib", 16, 1)
+    pool = PROFILES["RegexLib"].literal_pool
+    return patterns, dataset_stream(patterns, random.Random(1), 1 << 16, pool)
+
+
+class TestDeadlineKeepsTiers:
+    """The fused walk checks the clock at its cut points instead of the
+    feed being cut into ``check_bytes`` blocks, each re-arming the
+    prefilter's tail window: a deadline changes no tier, profiled or
+    not."""
+
+    @staticmethod
+    def _run(budget=None, stride=None, feed=None):
+        patterns, data = _regexlib16_stream()
+        session = (
+            profiler.profile_session(stride=stride, input_len=len(data))
+            if stride else contextlib.nullcontext()
+        )
+        with PatternSet(patterns, budget=budget) as ps, session:
+            if feed is None:
+                events = [(m.pattern_id, m.end) for m in ps.scan(data)]
+            else:
+                events = [
+                    (m.pattern_id, base + m.end)
+                    for base in range(0, len(data), feed)
+                    for m in ps.feed(data[base : base + feed])
+                ]
+            return events, ps._fused.counters()
+
+    @pytest.mark.parametrize("feed", (None, 10_000))
+    @pytest.mark.parametrize("stride", (None, 64))
+    @pytest.mark.parametrize("check_bytes", (4096, 7))
+    def test_counters_and_events_unchanged(self, check_bytes, stride, feed):
+        plain_events, plain = self._run(feed=feed)
+        assert plain_events and plain["skipped_bytes"] > 0
+        budget = Budget(deadline_s=600, check_bytes=check_bytes)
+        assert self._run(budget, stride, feed) == (plain_events, plain)
 
 
 class TestRestartPolicy:
