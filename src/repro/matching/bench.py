@@ -386,7 +386,7 @@ def bench_match_rates(
     and quotes ``table_speedup`` / ``prefilter_speedup`` against the
     bitset tier.  Before timing, the three variants' *full match
     streams* (not just counts) are compared — the bench doubles as a
-    differential tripwire for the tier fallback logic.
+    differential tripwire for the tiers.
     """
     profile = PROFILES[profile_name]
     patterns = load_dataset(profile_name, num_patterns, seed)

@@ -5,9 +5,9 @@ patterns once, then scan byte streams with any of the six execution
 engines (functional models, not the cycle-accurate simulator):
 
 * ``"fused"`` — all patterns merged into one shared state space and
-  advanced through a dense transition table, falling back to a single
-  bitset step per byte (:mod:`repro.matching.fused`) — the fast
-  software scan path (default);
+  advanced through a dense transition table that a single bitset step
+  fills (:mod:`repro.matching.fused`) — the fast software scan path
+  (default);
 * ``"ah"``    — AH-NBVA, the model BVAP executes;
 * ``"nbva"``  — the pre-transformation NBVA (naïve design, Fig. 3(b));
 * ``"nca"``   — counter automaton with explicit counter-value sets;
@@ -54,7 +54,6 @@ from ..resilience.budget import Budget
 from ..resilience.report import CompileReport
 from .fused import (
     DEFAULT_CACHE_BYTES,
-    DEFAULT_CACHE_SIZE,
     DEFAULT_TABLE_STATES,
     FusedMatcher,
     fuse_patterns,
@@ -197,19 +196,12 @@ class PatternSet:
         limit = self.budget.max_table_states
         return DEFAULT_TABLE_STATES if limit is None else limit
 
-    def _build_fused_matcher(
-        self, automaton, old: Optional[FusedMatcher] = None
-    ) -> FusedMatcher:
+    def _build_fused_matcher(self, automaton) -> FusedMatcher:
         """A :class:`FusedMatcher` over ``automaton`` honouring the set's
-        budget and prefilter settings; ``old`` carries cache sizing across
-        incremental rebuilds."""
-        cache_bytes = self.budget.max_cache_bytes or DEFAULT_CACHE_BYTES
+        budget and prefilter settings."""
         return FusedMatcher(
             automaton,
-            cache_size=old._cache_size if old is not None else DEFAULT_CACHE_SIZE,
-            cache_bytes=(
-                old._cache_byte_limit if old is not None else cache_bytes
-            ),
+            cache_bytes=self.budget.max_cache_bytes or DEFAULT_CACHE_BYTES,
             table_states=self._table_states(),
             table_bytes=self.budget.max_cache_bytes,
             prefilter=self._prefilter,
@@ -227,7 +219,7 @@ class PatternSet:
         added pattern starts empty without re-arming its ``^`` gate
         (offset 0 has already passed)."""
         old = self._fused
-        matcher = self._build_fused_matcher(automaton, old=old)
+        matcher = self._build_fused_matcher(automaton)
         matcher.active = remap_active(old.fused, keep, old.active)
         matcher._at_start = old._at_start
         matcher._tail_emits = remap_slot_mask(old._tail_emits, keep)
@@ -473,7 +465,10 @@ class PatternSet:
         collect them.  With a ``deadline_s`` budget the clock starts at
         each call and is checked every ``check_bytes`` bytes: by the
         fused matcher's walk at its cut points, in one feed, and between
-        ``check_bytes`` blocks on the other engines.
+        ``check_bytes`` blocks on the per-pattern engines.  The sharded
+        engine's blocks are whole broadcast chunks, so it checks once
+        every ``ceil(check_bytes / chunk_bytes)`` chunks and its workers
+        scan the same chunks as without a deadline.
         """
         self._stream_len += len(data)
         feed_block = (
@@ -493,6 +488,9 @@ class PatternSet:
         if fused is not None:  # one block: the walk checks at its cuts
             fused._deadline = (step - 1, step, lambda *_: clock.check("scan"))
             step = len(data) or 1
+        elif self._sharded is not None:  # block seams on chunk seams
+            chunk = self._sharded.chunk_bytes
+            step = -(-step // chunk) * chunk
         out: List[Match] = []
         try:
             for base in range(0, len(data), step):

@@ -42,21 +42,19 @@ first, all producing byte-identical match streams:
    uncached bitset step.  The table is bounded by a state-count and
    byte budget (:class:`repro.resilience.budget.Budget`): a full table
    is emptied in place and refilled from the current mask, as RE2
-   resets its DFA cache, and is abandoned for tier 3 only when the
-   interval since the previous flush scanned fewer than
-   :data:`MIN_BYTES_PER_FILL` bytes per fill.  A start column, one
-   entry per byte class, serves the stream-offset-0 step.
+   resets its DFA cache, however often that happens.  A start column,
+   one entry per byte class, serves the stream-offset-0 step.
 3. **Bitset stepping with a lazy-DFA cache** — the big-int closure step
    memoised as ``(active_mask, byte) -> (next_mask, fired pattern ids)``
-   in a bounded LRU.  It serves scans with the table off
-   (``table_states=0``) or abandoned.
+   in a bounded LRU.  It serves only scans with the table off
+   (``table_states=0``), the reference the other tiers are tested
+   against.
 
 A feed is one ordered list of segments, the armed windows and unarmed
 gaps of tier 1 (after the stream-offset-0 step of an anchored set), and
-one loop walks all of it on the table, the row in a local; a fill that
-abandons the table hands the rest of the list to a bitset loop of the
-same shape.  Only a profiler's probes and a deadline's clock checks cut
-the list further.
+one loop walks all of it on the table, the row in a local, or on the
+bitset tier when the table is off.  Only a profiler's probes and a
+deadline's clock checks cut the list further.
 
 Soundness of the prefilter rests on a monotone-arming argument: arming
 start states at a *superset* of the true match-start positions never
@@ -85,7 +83,6 @@ from ..automata.nfa import (
 )
 from ..compiler.pipeline import CompiledRegex, build_scan_nfa
 from ..compiler.prefilter import PatternLiterals
-from ..telemetry import flight
 
 #: Default bound on the bitset tier's lazy-DFA successor cache.  Entries
 #: are a handful of Python ints each; 1<<15 keeps even adversarial
@@ -101,21 +98,11 @@ DEFAULT_CACHE_BYTES = 16 << 20
 #: Default bound on interned dense-DFA states for the table tier; 0
 #: disables the table.  A stream's working set of activation masks is
 #: far smaller than the states it visits overall, so a full table is
-#: flushed and refilled rather than abandoned.
+#: flushed and refilled.
 DEFAULT_TABLE_STATES = 4096
 
 #: Default byte budget for the dense table (rows + interned masks).
 DEFAULT_TABLE_BYTES = 8 << 20
-
-#: A full table is abandoned for the bitset tier when the interval since
-#: the previous flush scanned fewer bytes than this per table fill.  Not
-#: a knob: RegexLib-64 streams measure 34-142 bytes per fill, far above
-#: it, while sets that mint a new mask every few bytes (RegexLib-16 with
-#: 50% planted matches, about 9; sliding gaps such as ``a.{6}b``,
-#: about 1) fall under it.  The table breaks even with the bitset tier
-#: near 1 byte per fill (docs/matching.md), so the bar errs toward
-#: the bitset tier.
-MIN_BYTES_PER_FILL = 10
 
 #: Estimated fixed overhead per cache entry (dict slot, key/value tuples,
 #: int headers) in bytes, on top of the mask payloads.
@@ -565,15 +552,10 @@ class FusedMatcher:
         self.table_misses = 0
         self.table_promotes = 0
         self.table_flushes = 0
-        self.table_fallbacks = 0
         self.table_steps = 0
         self.bitset_steps = 0
         self.table_seconds = 0.0
         self.bitset_seconds = 0.0
-        #: ``table_steps`` and ``table_misses`` at the previous flush.
-        self._flush_steps = 0
-        self._flush_misses = 0
-        self._table_live = table_states > 0
         self._num_classes = 0
         self._state_ids: Dict[int, int] = {}
         self._state_masks: List[int] = []
@@ -585,7 +567,7 @@ class FusedMatcher:
         #: from the empty activation (the ``^``-gated start states
         #: injected too), -1 until filled.
         self._start_col: List[int] = []
-        if self._table_live:
+        if table_states:
             class_of_byte, num_classes = byte_class_ids(self._match_masks)
             self._class_table = bytes(class_of_byte)
             self._num_classes = num_classes
@@ -734,18 +716,17 @@ class FusedMatcher:
     # RegexLib-64 table traces at 3.78 MB, against 2.57 MB as arrays that
     # box a fresh int per lookup.
 
-    def _intern(self, mask: int, served: int = 0) -> int:
+    def _intern(self, mask: int) -> int:
         """Dense id of ``mask``, interning it on first sight.  A full
-        table is flushed first (``served``: the walk's uncounted table
-        bytes); -1 when it was abandoned instead."""
+        table is flushed first."""
         sid = self._state_ids.get(mask)
         if sid is not None:
             return sid
         if (
             len(self._state_masks) >= self._table_states
             or self._table_bytes >= self._table_byte_limit
-        ) and not self._flush(served):
-            return -1
+        ):
+            self._flush()
         sid = len(self._state_masks)
         self._state_ids[mask] = sid
         self._state_masks.append(mask)
@@ -767,21 +748,15 @@ class FusedMatcher:
         self.table_promotes += 1
         return sid
 
-    def _fill(self, sid: int, cls: int, mode: int, served: int) -> int:
+    def _fill(self, sid: int, cls: int, mode: int) -> int:
         """Compute one missing table entry with the uncached bitset step
-        and return it.  Returns -1 once the table is abandoned, with
-        ``self.active`` set to ``sid``'s mask for the bitset tier to
-        resume from."""
+        and return it."""
         self.table_misses += 1
         mask = self._state_masks[sid]
         flushes = self.table_flushes
         nxt = self._intern(
-            self._step(mask, self._class_rep[cls], self._injections[mode]),
-            served,
+            self._step(mask, self._class_rep[cls], self._injections[mode])
         )
-        if nxt < 0:
-            self.active = mask
-            return -1
         entry = ~nxt if self._state_emits[nxt] else nxt
         if not nxt and mode and self._skip:
             entry = _DRAIN
@@ -789,28 +764,11 @@ class FusedMatcher:
             self._cols[mode][cls][sid] = entry
         return entry
 
-    def _flush(self, served: int) -> bool:
-        """Empty the full table in place so scanning continues through
-        it; False, having abandoned the table, when the interval since
-        the previous flush scanned fewer than :data:`MIN_BYTES_PER_FILL`
-        bytes per fill (refilling would cost more than bitset stepping)."""
-        steps = self.table_steps + served
-        fills = self.table_misses - self._flush_misses
-        if steps - self._flush_steps < MIN_BYTES_PER_FILL * fills:
-            self._table_blowup()
-            return False
-        self._flush_steps = steps
-        self._flush_misses = self.table_misses
+    def _flush(self) -> None:
+        """Empty the full table in place, keeping the containers the walk
+        holds references to, and re-intern the empty activation as
+        state 0 so scanning continues through the table."""
         self.table_flushes += 1
-        self._clear_table()
-        self._intern(0)
-        if telemetry.metrics_enabled():
-            telemetry.registry().counter("scan.table.flush").inc()
-        return True
-
-    def _clear_table(self) -> None:
-        """Drop every interned state, keeping the containers the table
-        loop holds references to."""
         self._state_ids.clear()
         self._state_masks.clear()
         self._state_emits.clear()
@@ -819,26 +777,9 @@ class FusedMatcher:
                 col.clear()
         self._start_col = [-1] * self._num_classes
         self._table_bytes = 0
-
-    def _table_blowup(self) -> None:
-        """Permanent mid-scan fallback to bitset stepping: refilling the
-        table no longer pays, so stop paying intern costs, free the
-        table, and record the event."""
-        self.table_fallbacks += 1
-        states = len(self._state_masks)
-        table_bytes = self._table_bytes
-        self._table_live = False
-        self._clear_table()
+        self._intern(0)
         if telemetry.metrics_enabled():
-            telemetry.registry().counter("scan.table.fallback").inc()
-        if flight.flight_enabled():
-            flight.record(
-                "table_fallback",
-                states=states,
-                table_bytes=table_bytes,
-                state_capacity=self._table_states,
-                byte_capacity=self._table_byte_limit,
-            )
+            telemetry.registry().counter("scan.table.flush").inc()
 
     # -- the segment walk ----------------------------------------------
     #
@@ -917,14 +858,9 @@ class FusedMatcher:
         unarmed segment entered at row 0 under a skippable plan is
         skipped without a lookup, unless it starts the chunk (its first
         byte drains); a drain ends its segment; at each cut point the
-        walk writes ``self.active`` and its counts, then fires.  When a
-        fill abandons the table, the bitset walk takes the rest of the
-        list from the byte it could not serve."""
+        walk writes ``self.active`` and its counts, then fires."""
         t0 = perf_counter()
         row = self._intern(self.active) if self.active else 0
-        if row < 0:
-            self.table_seconds += perf_counter() - t0
-            return self._walk_bitset(data, segs, cuts, out)
         translated = data.translate(self._class_table)
         masks = self._state_masks
         emits = self._state_emits
@@ -934,24 +870,24 @@ class FusedMatcher:
         miss0 = self.table_misses
         served = 0  # bytes served since the counts were last written
         cut = cuts[-1][0]
-        rest = iter(segs)
-        for lo, hi, mode in rest:
+        for lo, hi, mode in segs:
             if mode == 1 and skip and lo and not row:
                 self.prefilter_skipped += hi - lo
             elif mode == 2:
-                # From the empty activation, the ``^``-gated start
-                # states injected too: the start column.
+                # The ``^``-gated start states injected too: from the
+                # empty activation through the start column, from a
+                # restored live one by one uncached step.
                 cls = translated[0]
-                row = self._start_col[cls]
-                if row < 0:
+                nxt = -1 if row else self._start_col[cls]
+                if nxt < 0:
                     self.table_misses += 1
-                    row = self._intern(
-                        self._step(0, self._class_rep[cls], self._initial_mask)
+                    rep = self._class_rep[cls]
+                    nxt = self._intern(
+                        self._step(masks[row], rep, self._initial_mask)
                     )
-                    if row < 0:
-                        off = lo
-                        break
-                    self._start_col[cls] = row
+                    if not row:
+                        self._start_col[cls] = nxt
+                row = nxt
                 for slot, back in emits[row]:
                     append((slot, -back))
                 served += 1
@@ -963,10 +899,7 @@ class FusedMatcher:
                     if nxt < 0:
                         off = hi - 1 - it.__length_hint__()
                         if nxt == -1:
-                            nxt = self._fill(row, cls, mode, served + off - lo)
-                            if nxt == -1:
-                                row = -1
-                                break
+                            nxt = self._fill(row, cls, mode)
                         if nxt == _DRAIN:  # drained to the empty activation
                             self.prefilter_skipped += hi - off - 1
                             row = 0
@@ -977,8 +910,6 @@ class FusedMatcher:
                             for slot, back in emits[nxt]:
                                 append((slot, off - back))
                     row = nxt
-                if row < 0:
-                    break
                 served += hi - lo
             if cut < hi:
                 self.active = masks[row]
@@ -990,13 +921,6 @@ class FusedMatcher:
                     offset, fire = cuts.pop()
                     fire(offset, self.active)
                     cut = cuts[-1][0]
-        if row < 0:
-            # Abandoned at byte ``off``, whose fill served nothing.
-            served += off - lo
-            self.table_steps += served
-            self.table_hits += served - (self.table_misses - 1 - miss0)
-            self.table_seconds += perf_counter() - t0
-            return self._walk_bitset(data, [(off, hi, mode), *rest], cuts, out)
         self.active = masks[row]
         self.table_steps += served
         self.table_hits += served - (self.table_misses - miss0)
@@ -1005,9 +929,10 @@ class FusedMatcher:
     def _walk_bitset(
         self, data: bytes, segs, cuts, out: List[Tuple[int, int]]
     ) -> None:
-        """:meth:`_walk` on the bitset tier: the same skips, drains and
-        cut points, each byte through the LRU-memoised :meth:`_advance`,
-        and the stream-offset-0 step uncached (it runs once a stream)."""
+        """:meth:`_walk` on the bitset tier, which serves only
+        ``table_states=0``: the same skips, drains and cut points, each
+        byte through the LRU-memoised :meth:`_advance`, and the
+        stream-offset-0 step uncached (it runs once a stream)."""
         t0 = perf_counter()
         active = self.active
         advance = self._advance
@@ -1076,9 +1001,7 @@ class FusedMatcher:
         if self._probe is not None or self._deadline is not None:
             segs, cuts = self._cut(segs, n)
         out: List[Tuple[int, int]] = []
-        # The start column serves the empty activation only, so a
-        # restored live one takes the whole feed on the bitset tier.
-        if self._table_live and not (start and self.active):
+        if self._table_states:
             self._walk(data, segs, cuts, out)
         else:
             self._walk_bitset(data, segs, cuts, out)
@@ -1150,8 +1073,8 @@ class FusedMatcher:
 
     def cache_info(self) -> Dict[str, int]:
         """Statistics of the bitset tier's lazy-DFA cache (telemetry /
-        bench reporting).  Table fills bypass it, so it stays empty while
-        the table serves the scan."""
+        bench reporting).  Table fills bypass it, so it stays empty
+        unless the table is off."""
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
@@ -1174,7 +1097,6 @@ class FusedMatcher:
             "table_misses": self.table_misses,
             "table_promotes": self.table_promotes,
             "table_flushes": self.table_flushes,
-            "table_fallbacks": self.table_fallbacks,
             "steps_table": self.table_steps,
             "steps_bitset": self.bitset_steps,
             "skipped_bytes": self.prefilter_skipped,
@@ -1184,7 +1106,7 @@ class FusedMatcher:
     def table_info(self) -> Dict[str, object]:
         """Dense-table tier statistics (telemetry / bench reporting)."""
         return {
-            "live": self._table_live,
+            "live": self._table_states > 0,
             "states": len(self._state_masks),
             "state_capacity": self._table_states,
             "bytes": self._table_bytes,
@@ -1193,7 +1115,9 @@ class FusedMatcher:
             "misses": self.table_misses,
             "promotes": self.table_promotes,
             "flushes": self.table_flushes,
-            "fallbacks": self.table_fallbacks,
+            # Always 0 since a full table always flushes; kept only for
+            # scanbench/measure.py, which still reads it.
+            "fallbacks": 0,
             "steps_table": self.table_steps,
             "steps_bitset": self.bitset_steps,
             "seconds_table": self.table_seconds,

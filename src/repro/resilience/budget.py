@@ -21,15 +21,16 @@ Run-time limits (checked by the scan engines in
   worker;
 * ``max_table_states`` — dense-DFA states the fused engine's
   table-driven inner loop may intern at once.  A full table is flushed
-  and refilled; it falls back to bitset stepping only when refills
-  come every few bytes.  ``0`` disables the table entirely (pure bitset
-  stepping); ``None`` uses
+  and refilled, however often.  ``0`` disables the table entirely (pure
+  bitset stepping); ``None`` uses
   :data:`repro.matching.fused.DEFAULT_TABLE_STATES`;
 * ``deadline_s`` — cooperative wall-clock deadline.  The clock starts
   when work starts (:meth:`Budget.start`) and is checked at compile phase
   boundaries and every ``check_bytes`` scanned bytes, so exceeding it
   raises :class:`~repro.resilience.errors.BudgetExceededError` promptly
-  without a per-symbol timestamp in the hot loop.
+  without a per-symbol timestamp in the hot loop.  The sharded engine
+  checks between whole broadcast chunks instead: once every
+  ``ceil(check_bytes / chunk_bytes)`` chunks.
 """
 
 from __future__ import annotations

@@ -88,9 +88,7 @@ def _flushing(patterns, prefilter):
 
 
 @pytest.mark.parametrize("pattern,data", CORPUS)
-def test_anchored_corpus_fused_tiers_byte_identical(
-    pattern, data, always_flush
-):
+def test_anchored_corpus_fused_tiers_byte_identical(pattern, data):
     """Bitset, dense-table, prefiltered and flushing-table stepping must
     agree on the gated automata (the tiers share the start-gate and
     finalisation logic)."""
@@ -109,11 +107,13 @@ def test_anchored_corpus_fused_tiers_byte_identical(
     assert _ends(bitset.scan(data)) == expected
     assert _ends(table.scan(data)) == expected
     assert _ends(prefiltered.scan(data)) == expected
+    for tier in (table, prefiltered):
+        assert tier._fused.counters()["steps_bitset"] == 0
     for prefilter in (False, True):
         flushing = _flushing([pattern], prefilter)
         assert _ends(flushing.scan(data)) == expected
         info = flushing._fused.table_info()
-        assert info["flushes"] >= 1 and info["fallbacks"] == 0
+        assert info["flushes"] >= 1 and info["steps_bitset"] == 0
 
 
 @pytest.mark.parametrize("pattern", IMPOSSIBLE)
@@ -155,7 +155,7 @@ def test_anchored_chunked_feed_plus_finish_equals_scan(engine, chunk):
 
 @pytest.mark.parametrize("chunk", (1, 2, 3, 7))
 @pytest.mark.parametrize("prefilter", (False, True))
-def test_anchored_flushing_table_chunked_feed(prefilter, chunk, always_flush):
+def test_anchored_flushing_table_chunked_feed(prefilter, chunk):
     """The flushing tier, fed in chunks and finished, reproduces the
     bitset tier's scan: flushes land on the offset-0 start step, the
     ``\\b`` confirm seams and the ``$`` candidates alike."""
@@ -180,7 +180,7 @@ def test_anchored_flushing_table_chunked_feed(prefilter, chunk, always_flush):
     rebased.extend(ps.finish())
     assert sorted(rebased, key=lambda m: (m.end, m.pattern_id)) == expected
     info = ps._fused.table_info()
-    assert info["flushes"] >= 1 and info["fallbacks"] == 0
+    assert info["flushes"] >= 1 and info["steps_bitset"] == 0
 
 
 @pytest.mark.parametrize("engine", ("fused", "sharded"))

@@ -7,9 +7,8 @@ skipped without a table call.  Random mixes of ``^``-only, partly-``^``,
 ``\\b``-led, ``$``-ended, plain and literal-free patterns must therefore
 scan exactly as the bitset tier does (``table_states=0,
 prefilter=False``), on whole ``scan()`` calls and on 1-, 7- and 64-byte
-feeds, with every byte served once by the table, the bitset step or a
-skip.  Tables of one and two states flush or abandon the start entry at
-byte 0.
+feeds, with every byte served once by the table or a skip.  Tables of
+one and two states flush the start entry at byte 0.
 """
 
 import pytest
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.compiler import CompilerOptions, compile_pattern
 from repro.matching import build_fused
-from repro.matching import fused as fused_module
 
 OPTIONS = CompilerOptions(bv_size=16, unfold_threshold=2)
 
@@ -99,24 +97,23 @@ def _compile(patterns):
     ]
 
 
-def _check_tiers(compiled, data):
+def _check_tiers(compiled, data, prefilter):
     """Every tier and feed size against the bitset tier's scan."""
     expected = build_fused(compiled, table_states=0, prefilter=False).scan(
         data
     )
     for kwargs in TIERS:
         for size in (None, 1, 7, 64):
-            matcher = build_fused(compiled, **kwargs)
+            matcher = build_fused(compiled, prefilter=prefilter, **kwargs)
             if size is None:
                 got = matcher.scan(data)
             else:
                 got = _feed_in(matcher, data, size)
             assert got == expected, (kwargs, size)
             counters = matcher.counters()
+            assert counters["steps_bitset"] == 0, (kwargs, size)
             assert (
-                counters["steps_table"]
-                + counters["steps_bitset"]
-                + counters["skipped_bytes"]
+                counters["steps_table"] + counters["skipped_bytes"]
             ) == len(data), (kwargs, size)
 
 
@@ -126,16 +123,12 @@ def _check_tiers(compiled, data):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(case=anchored_sets())
-@pytest.mark.parametrize("flush", (False, True))
-def test_anchored_sets_scan_as_the_bitset_tier(flush, case):
-    """With ``flush`` a full table always empties and refills, so the
-    small tables flush the start entry instead of abandoning it."""
+@pytest.mark.parametrize("prefilter", (False, True))
+def test_anchored_sets_scan_as_the_bitset_tier(prefilter, case):
+    """With and without the prefilter plan; the small tables flush the
+    start entry and keep serving every byte."""
     patterns, data = case
-    compiled = _compile(patterns)
-    with pytest.MonkeyPatch.context() as patch:
-        if flush:
-            patch.setattr(fused_module, "MIN_BYTES_PER_FILL", 0)
-        _check_tiers(compiled, data)
+    _check_tiers(_compile(patterns), data, prefilter)
 
 
 class TestStartColumn:
@@ -155,7 +148,9 @@ class TestStartColumn:
         hits = counters["table_hits"]
         assert hits + counters["table_misses"] == counters["steps_table"]
 
-    def test_start_entry_abandoned_at_byte_0(self):
+    def test_start_entry_flushed_at_byte_0(self):
+        # A one-state table holds only the empty activation: the start
+        # step's fill flushes it, and the table serves on from there.
         compiled = _compile(self.PATTERNS)
         expected = build_fused(
             compiled, table_states=0, prefilter=False
@@ -163,12 +158,11 @@ class TestStartColumn:
         matcher = build_fused(compiled, table_states=1)
         assert matcher.scan(b"abbx cd e") == expected
         info = matcher.table_info()
-        assert info["fallbacks"] == 1 and not info["live"]
-        # The abandoning fill served no byte: the bitset tier took all.
-        assert info["misses"] == 1 and info["steps_table"] == 0
-        assert info["steps_bitset"] == len(b"abbx cd e")
+        assert info["flushes"] >= 1 and info["live"]
+        assert info["steps_bitset"] == 0
+        assert info["steps_table"] + info["skipped_bytes"] == len(b"abbx cd e")
 
-    def test_flush_empties_the_start_column(self, always_flush):
+    def test_flush_empties_the_start_column(self):
         compiled = _compile(self.PATTERNS)
         reference = build_fused(compiled, table_states=0, prefilter=False)
         matcher = build_fused(compiled, table_states=2)
@@ -179,3 +173,29 @@ class TestStartColumn:
         assert info["steps_bitset"] == 0
         live = [sid for sid in matcher._start_col if sid >= 0]
         assert all(sid < info["states"] for sid in live)
+
+    @pytest.mark.parametrize("size", (None, 1))
+    def test_restored_live_activation_steps_byte_0_on_the_table(self, size):
+        # A snapshot still at stream offset 0 but with a live ``^ab``
+        # partial: the start step runs from that activation with the
+        # ``^`` starts injected, uncached, and leaves the start column
+        # (which serves the empty activation only) untouched.
+        compiled = _compile(self.PATTERNS)
+        source = build_fused(compiled, prefilter=False)
+        source.feed(b"ab")
+        snapshot = dict(source.state_snapshot(), at_start=1)
+        assert snapshot["active"]
+        data = b"bab cd e"
+        matcher = build_fused(compiled)
+        reference = build_fused(compiled, table_states=0, prefilter=False)
+        results = []
+        for tier in (matcher, reference):
+            tier.restore_state(snapshot)
+            results.append(_feed_in(tier, data, size or len(data)))
+        # Byte 0 completes the restored ``ab`` as ``abb``; the later
+        # ``ab`` lies past offset 0 and stays silent.
+        assert results[0] == results[1] == [(0, 0), (1, 5), (2, 7)]
+        counters = matcher.counters()
+        assert counters["steps_bitset"] == 0
+        assert counters["steps_table"] + counters["skipped_bytes"] == len(data)
+        assert all(sid < 0 for sid in matcher._start_col)

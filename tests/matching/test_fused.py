@@ -213,9 +213,9 @@ class TestPatternSetIntegration:
 
 
 class TestTableBlowup:
-    """Satellite: a pathological set exceeding the table budget falls
-    back to bitset stepping mid-scan — identical output, a telemetry
-    counter bump and a flight event, never a budget error."""
+    """A pathological set exceeding the table budget flushes and refills
+    the table every few bytes — identical output, a telemetry counter
+    bump per flush, never a budget error and never the bitset tier."""
 
     PATTERNS = ["a.{6}b", "c.{6}d"]  # sliding gaps: many distinct masks
 
@@ -233,12 +233,13 @@ class TestTableBlowup:
         tight = build_fused(compiled, table_states=2, prefilter=False)
         assert tight.scan(data) == expected
         info = tight.table_info()
-        assert not info["live"]
-        assert info["fallbacks"] == 1
-        assert info["steps_bitset"] > 0  # scan finished on the bitset tier
-        # The fallback is permanent: later scans stay correct, no table.
+        assert info["live"] and info["flushes"] >= 1
+        assert info["steps_bitset"] == 0  # the table served every byte
+        # Later scans stay correct and keep flushing on the table.
         assert tight.scan(data) == expected
-        assert tight.table_info()["fallbacks"] == 1
+        again = tight.table_info()
+        assert again["flushes"] > info["flushes"]
+        assert again["steps_bitset"] == 0
 
     def test_byte_budget_blowup_identical_output(self):
         compiled = compile_all(self.PATTERNS)
@@ -249,14 +250,13 @@ class TestTableBlowup:
         tight = build_fused(compiled, table_bytes=1, prefilter=False)
         assert tight.scan(data) == expected
         info = tight.table_info()
-        assert not info["live"]
-        assert info["fallbacks"] == 1
+        assert info["live"] and info["flushes"] >= 1
+        assert info["steps_bitset"] == 0
 
-    def test_fallback_counter_and_flight_event(self):
-        # Matcher-level: the tiers run inside FusedMatcher.feed (the
-        # engine's metrics path steps per byte for the occupancy
-        # histogram and never enters the table), so the counter and the
-        # flight event are asserted where the blow-up actually happens.
+    def test_flush_counter_and_no_flight_event(self):
+        # Matcher-level, where the flushes happen: each one bumps the
+        # telemetry counter, and none is a flight event (a flush is
+        # routine, not an incident).
         from repro import telemetry
         from repro.telemetry import flight
 
@@ -272,21 +272,17 @@ class TestTableBlowup:
                 tight = build_fused(compiled, table_states=2, prefilter=False)
                 matches = tight.scan(data)
                 snap = telemetry.snapshot()
-            assert snap["counters"]["scan.table.fallback"] >= 1
-            events = [
-                e
-                for e in flight.recorder().events()
-                if e["kind"] == "table_fallback"
-            ]
-            assert events
-            assert events[0]["state_capacity"] == 2
+            info = tight.table_info()
+            assert info["flushes"] >= 1 and info["steps_bitset"] == 0
+            assert snap["counters"]["scan.table.flush"] == info["flushes"]
+            assert flight.recorder().events() == []
         finally:
             flight.disable()
         assert matches == expected
 
     def test_blowup_is_not_a_budget_error(self):
         # on_error="raise" still must not see an error: the table budget
-        # degrades the tier, it never rejects the scan.
+        # bounds the table, it never rejects the scan.
         ps = PatternSet(
             self.PATTERNS,
             engine="fused",
@@ -294,6 +290,7 @@ class TestTableBlowup:
             on_error="raise",
         )
         assert ps.scan(self._data())  # no exception
+        assert ps._fused.counters()["steps_bitset"] == 0
 
     def test_table_states_zero_disables_table(self):
         matcher = build_fused(
@@ -302,7 +299,7 @@ class TestTableBlowup:
         matcher.scan(self._data())
         info = matcher.table_info()
         assert not info["live"]
-        assert info["fallbacks"] == 0
+        assert info["steps_bitset"] == len(self._data())
         assert info["hits"] == info["misses"] == 0
 
 
@@ -320,9 +317,7 @@ def _regexlib(count, length, rate=None):
 
 class TestTableFlush:
     """A full table is emptied in place and refilled from the current
-    mask; it is abandoned for the bitset tier only when the interval
-    since the previous flush scanned fewer than ``MIN_BYTES_PER_FILL``
-    bytes per fill."""
+    mask, however few bytes each fill serves."""
 
     def _working_set_budget(self):
         """A 64 KiB RegexLib-16 stream, its bitset-tier events, and a
@@ -338,8 +333,7 @@ class TestTableFlush:
     def _assert_flushed_on_table(self, matcher):
         info = matcher.table_info()
         assert info["flushes"] >= 1
-        assert info["live"] and info["fallbacks"] == 0
-        assert info["steps_bitset"] == 0
+        assert info["live"] and info["steps_bitset"] == 0
         assert info["states"] <= info["state_capacity"]
         # Fills take the uncached step: the bitset tier's LRU stays empty.
         assert matcher.cache_info()["entries"] == 0
@@ -370,10 +364,9 @@ class TestTableFlush:
             assert matcher.scan(data) == expected
             counters = telemetry.snapshot()["counters"]
         assert counters["scan.table.flush"] == matcher.table_info()["flushes"]
-        assert "scan.table.fallback" not in counters
 
     @pytest.mark.parametrize("prefilter", (False, True))
-    def test_fill_every_few_bytes_abandons_at_first_flush(self, prefilter):
+    def test_fill_every_few_bytes_keeps_flushing(self, prefilter):
         # Complete plants at a 50% rate mint a new mask every few bytes.
         compiled, data = _regexlib(16, 1 << 14, rate=0.5)
         expected = build_fused(
@@ -382,9 +375,8 @@ class TestTableFlush:
         matcher = build_fused(compiled, table_states=512, prefilter=prefilter)
         assert matcher.scan(data) == expected
         info = matcher.table_info()
-        assert info["flushes"] == 0
-        assert info["fallbacks"] == 1 and not info["live"]
-        assert info["steps_bitset"] > 0
+        assert info["flushes"] >= 1
+        assert info["live"] and info["steps_bitset"] == 0
 
 
 def _feed_in(matcher, data, size):
@@ -470,18 +462,19 @@ class TestTableSlowPath:
         info = self._run(
             ["ab{2,4}c", "xy"], data, table_states=5, prefilter=False
         ).table_info()
-        assert info["flushes"] == 1 and info["fallbacks"] == 0
+        assert info["flushes"] == 1
         assert info["live"] and info["steps_bitset"] == 0
 
-    def test_abandon_mid_span(self):
+    def test_flush_every_few_bytes_mid_span(self):
+        # Two states hold only the empty activation and one other: the
+        # ``abbbc xy abbc`` phase flushes at nearly every fill.
         data = b"z" * 40 + b"abbbc xy abbc"
         info = self._run(
             ["ab{2,4}c", "xy"], data, table_states=2, prefilter=False
         ).table_info()
-        assert info["fallbacks"] == 1 and not info["live"]
-        assert info["steps_table"] > 0 and info["steps_bitset"] > 0
-        # The abandoning fill served no byte.
-        assert info["hits"] + info["misses"] == info["steps_table"] + 1
+        assert info["flushes"] >= 1
+        assert info["live"] and info["steps_bitset"] == 0
+        assert info["hits"] + info["misses"] == info["steps_table"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -507,13 +500,14 @@ def _walk_case(name):
 class TestWalkParity:
     """One segment walk per feed on the workload rule sets: with the
     prefilter plan each set gets (none for pii), on the table, on the
-    bitset tier alone and on a two-state table that is abandoned
-    mid-walk, every scan and feed equals the unfiltered bitset tier's,
-    and every fed byte is served once by the table, the bitset step or a
-    skip.  ``TestTableSlowPath`` covers the walk without a plan."""
+    bitset tier alone and on a two-state table that flushes every few
+    bytes, every scan and feed equals the unfiltered bitset tier's, and
+    every fed byte is served once by the table, the bitset step or a
+    skip, never by the bitset step while the table is on.
+    ``TestTableSlowPath`` covers the walk without a plan."""
 
     CONFIGS = {"default": {}, "bitset": {"table_states": 0},
-               "abandoned": {"table_states": 2}}
+               "flushing": {"table_states": 2}}
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("feed", (None, 1, 7, 4096))
@@ -539,7 +533,12 @@ class TestWalkParity:
             + counters["steps_bitset"]
             + counters["skipped_bytes"]
         ) == fed
-        assert counters["table_fallbacks"] == (config == "abandoned")
+        if config == "bitset":
+            assert counters["steps_table"] == 0
+        else:
+            assert counters["steps_bitset"] == 0
+        if config == "flushing":
+            assert counters["table_flushes"] >= 1
 
     @pytest.mark.parametrize("name", ("log_scan", "ids", "regexlib50"))
     def test_cut_points_read_the_same_activation_on_every_tier(self, name):
@@ -560,20 +559,20 @@ class TestWalkParity:
             probes = [at for at, active in cuts if active is not None]
             assert probes == list(range(3, len(stream), 7))
             assert len(cuts) == len(probes) + len(range(4, len(stream), 5))
-        assert fired["default"] == fired["bitset"] == fired["abandoned"]
+        assert fired["default"] == fired["bitset"] == fired["flushing"]
 
     @pytest.mark.parametrize("name", ("log_scan", "ids", "regexlib0"))
-    def test_abandoned_table_hands_the_rest_to_the_bitset_loop(self, name):
-        # One scan, one walk: the two-state table serves the first steps
-        # of a prefiltered segment list, and the bitset loop steps and
-        # skips the rest of that same list.
+    def test_flushing_table_walks_the_whole_list(self, name):
+        # One scan, one walk: the two-state table flushes every few
+        # bytes, and still steps and skips every segment of the
+        # prefiltered list itself.
         compiled, _records, stream = _walk_case(name)
         matcher = build_fused(compiled, table_states=2)
         expected = build_fused(compiled, table_states=0, prefilter=False)
         assert matcher.scan(stream) == expected.scan(stream)
         counters = matcher.counters()
-        assert counters["table_fallbacks"] == 1
-        assert counters["steps_table"] > 0 and counters["steps_bitset"] > 0
+        assert counters["table_flushes"] >= 1
+        assert counters["steps_table"] > 0 and counters["steps_bitset"] == 0
         assert counters["skipped_bytes"] > 0
 
 

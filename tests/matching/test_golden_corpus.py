@@ -109,7 +109,7 @@ def _flushing_tiers(compiled):
 def _assert_flushed(matcher):
     info = matcher.table_info()
     assert info["flushes"] >= 1
-    assert info["live"] and info["fallbacks"] == 0
+    assert info["live"] and info["steps_bitset"] == 0
 
 
 def _assert_every_byte_counted(matcher, fed):
@@ -120,7 +120,7 @@ def _assert_every_byte_counted(matcher, fed):
     assert served + info["skipped_bytes"] == fed
 
 
-def test_golden_corpus_fused_tiers_byte_identical(always_flush):
+def test_golden_corpus_fused_tiers_byte_identical():
     compiled = _compile_corpus()
     data = _corpus_stream()
     bitset = build_fused(compiled, table_states=0, prefilter=False)
@@ -137,10 +137,12 @@ def test_golden_corpus_fused_tiers_byte_identical(always_flush):
         _assert_flushed(flushing)
     for matcher in (bitset, table, prefiltered, *flushing_tiers):
         _assert_every_byte_counted(matcher, len(data))
+    for matcher in (table, prefiltered):
+        assert matcher.table_info()["steps_bitset"] == 0
 
 
 @pytest.mark.parametrize("chunk", (1, 3, 7, 16))
-def test_golden_corpus_chunked_feed_straddles_windows(chunk, always_flush):
+def test_golden_corpus_chunked_feed_straddles_windows(chunk):
     """Mid-stream ``feed()`` boundaries must not change the stream even
     when a chunk cut lands inside a prefilter arming window (the tail
     re-arming covers literal occurrences straddling the boundary) or
@@ -159,6 +161,7 @@ def test_golden_corpus_chunked_feed_straddles_windows(chunk, always_flush):
                 got.append((slot, start + end))
         assert got == expected, chunk
         _assert_every_byte_counted(matcher, len(data))
+        assert matcher.table_info()["steps_bitset"] == 0
     for matcher in flushing:
         _assert_flushed(matcher)
 

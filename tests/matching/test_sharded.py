@@ -513,7 +513,7 @@ class TestWorkerStats:
                 "table_hits",
                 "table_misses",
                 "table_flushes",
-                "table_fallbacks",
+                "steps_bitset",
                 "symbols",
             }
         counters = snapshot["counters"]
@@ -524,7 +524,7 @@ class TestWorkerStats:
             # reach the parent registry.
             assert counters[f"scan.shard.table_misses{{shard={shard}}}"] > 0
             assert counters[f"scan.shard.table_hits{{shard={shard}}}"] > 0
-            assert worker_stats[shard]["table_fallbacks"] == 0
+            assert worker_stats[shard]["steps_bitset"] == 0
 
     def test_inline_backend_ships_stats(self):
         compiled = compile_all(["ax", "bx"])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.compiler import CompilerOptions
 from repro.matching import ENGINES, Match, PatternSet
 from repro.regex.generate import random_regex
+from repro.resilience import Budget
 
 OPTIONS = CompilerOptions(bv_size=8, unfold_threshold=2)
 
@@ -26,12 +27,32 @@ OPTIONS = CompilerOptions(bv_size=8, unfold_threshold=2)
 #: random streams actually exercise partially-advanced counters.
 PATTERNS = ["ab{2,4}c", "a(ba){2}", "c{3,}", "(a|b){4}c", "bc"]
 
+#: One more set beside the engines: fused on a two-state table, which
+#: flushes every few bytes.  Its scans must equal the ``nfa`` set's
+#: without a byte on the bitset tier.
+FLUSHING = "flushing"
+
 
 def build_set(engine, patterns):
+    if engine == FLUSHING:
+        return PatternSet(
+            patterns,
+            options=OPTIONS,
+            engine="fused",
+            budget=Budget(max_table_states=2),
+        )
     # Two shards forces the sharded engine's cross-worker merge even on
     # a single-CPU machine; the other engines take no extra knobs.
     kwargs = {"shards": 2} if engine == "sharded" else {}
     return PatternSet(patterns, options=OPTIONS, engine=engine, **kwargs)
+
+
+def check_flushing(sets, engine, stream, whole):
+    """The flushing set's whole scan equals the ``nfa`` set's, served
+    on the table."""
+    if engine == FLUSHING:
+        assert whole == sets["nfa"].scan(stream)
+        assert sets[FLUSHING]._fused.counters()["steps_bitset"] == 0
 
 
 #: One compiled set per engine, shared across Hypothesis examples (the
@@ -45,7 +66,8 @@ SETS = {engine: build_set(engine, PATTERNS) for engine in ENGINES}
 ANCHORED_PATTERNS = ["^ab{2,4}c", "c{3,}$", r"\bab", "^(a|b){2}c$", "bc"]
 
 ANCHORED_SETS = {
-    engine: build_set(engine, ANCHORED_PATTERNS) for engine in ENGINES
+    engine: build_set(engine, ANCHORED_PATTERNS)
+    for engine in ENGINES + (FLUSHING,)
 }
 
 
@@ -96,7 +118,7 @@ def test_chunked_feed_equals_scan(engine, data):
     assert rebased == whole
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINES + (FLUSHING,))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_anchored_chunked_feed_equals_scan(engine, data):
@@ -119,6 +141,7 @@ def test_anchored_chunked_feed_equals_scan(engine, data):
     )
     pattern_set = ANCHORED_SETS[engine]
     whole = pattern_set.scan(stream)
+    check_flushing(ANCHORED_SETS, engine, stream, whole)
 
     pattern_set.reset()
     rebased = []
@@ -177,7 +200,8 @@ def _random_sets(seed):
     if seed not in _random_sets_cache:
         patterns = list(_random_patterns(seed))
         _random_sets_cache[seed] = {
-            engine: build_set(engine, patterns) for engine in ENGINES
+            engine: build_set(engine, patterns)
+            for engine in ENGINES + (FLUSHING,)
         }
     return _random_sets_cache[seed]
 
@@ -185,7 +209,7 @@ def _random_sets(seed):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=7),
-    engine=st.sampled_from(ENGINES),
+    engine=st.sampled_from(ENGINES + (FLUSHING,)),
     data=st.data(),
 )
 def test_random_regex_chunked_feed_equals_scan(seed, engine, data):
@@ -203,8 +227,10 @@ def test_random_regex_chunked_feed_equals_scan(seed, engine, data):
         ),
         label="cuts",
     )
-    pattern_set = _random_sets(seed)[engine]
+    sets = _random_sets(seed)
+    pattern_set = sets[engine]
     whole = pattern_set.scan(stream)
+    check_flushing(sets, engine, stream, whole)
 
     pattern_set.reset()
     rebased = []

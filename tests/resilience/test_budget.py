@@ -153,11 +153,11 @@ class TestScanDeadline:
 
 
 @functools.lru_cache(maxsize=None)
-def _regexlib16_stream():
-    """RegexLib-16 and a 64 KiB sparse stream the prefilter mostly skips."""
+def _regexlib16_stream(length=1 << 16):
+    """RegexLib-16 and a sparse stream the prefilter mostly skips."""
     patterns = load_dataset("RegexLib", 16, 1)
     pool = PROFILES["RegexLib"].literal_pool
-    return patterns, dataset_stream(patterns, random.Random(1), 1 << 16, pool)
+    return patterns, dataset_stream(patterns, random.Random(1), length, pool)
 
 
 class TestDeadlineKeepsTiers:
@@ -192,6 +192,45 @@ class TestDeadlineKeepsTiers:
         assert plain_events and plain["skipped_bytes"] > 0
         budget = Budget(deadline_s=600, check_bytes=check_bytes)
         assert self._run(budget, stride, feed) == (plain_events, plain)
+
+
+class TestShardedDeadlineKeepsChunks:
+    """A sharded feed under a deadline is cut into whole broadcast
+    chunks, so every block seam is a chunk seam the scanner cuts anyway:
+    the workers scan the same chunks and tail windows, with or without a
+    deadline."""
+
+    #: Three whole 64 KiB broadcast chunks and a partial one.
+    LENGTH = 3 * (1 << 16) + 5000
+
+    @classmethod
+    def _run(cls, budget=None, feed=None):
+        patterns, data = _regexlib16_stream(cls.LENGTH)
+        with PatternSet(
+            patterns,
+            engine="sharded",
+            shards=2,
+            shard_backend="inline",
+            budget=budget,
+        ) as ps:
+            if feed is None:
+                events = [(m.pattern_id, m.end) for m in ps.scan(data)]
+            else:
+                events = [
+                    (m.pattern_id, base + m.end)
+                    for base in range(0, len(data), feed)
+                    for m in ps.feed(data[base : base + feed])
+                ]
+            return events, ps._sharded.stats()["worker_stats"]
+
+    @pytest.mark.parametrize("feed", (None, 10_000))
+    @pytest.mark.parametrize("check_bytes", (4096, 7))
+    def test_worker_stats_and_events_unchanged(self, check_bytes, feed):
+        plain_events, plain = self._run(feed=feed)
+        assert plain_events and len(plain) == 2
+        assert all(stats["armed_bytes"] > 0 for stats in plain.values())
+        budget = Budget(deadline_s=600, check_bytes=check_bytes)
+        assert self._run(budget, feed) == (plain_events, plain)
 
 
 class TestRestartPolicy:
