@@ -18,7 +18,7 @@ from .actions import (
 )
 from .ah import AHNBVA, AHMatcher, AHState, to_action_homogeneous
 from .bitvector import BitVector
-from .glushkov import glushkov
+from .glushkov import glushkov, nested_glushkov
 from .nbva import NBVA, NBVAMatcher, Scope, State, Transition
 from .optimize import prune, pruning_summary
 from .nca import NCAMatcher
@@ -51,6 +51,7 @@ __all__ = [
     "actions",
     "bitvector",
     "glushkov",
+    "nested_glushkov",
     "prune",
     "pruning_summary",
     "read_action",

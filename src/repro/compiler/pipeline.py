@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from .. import telemetry
 from ..automata.ah import AHNBVA, is_counter_free, to_action_homogeneous
 from ..automata.ah import to_nfa as ah_to_nfa
-from ..automata.glushkov import glushkov
+from ..automata.glushkov import glushkov, nested_glushkov
 from ..automata.nbva import NBVA
 from ..automata.nfa import NFA, union_nfas
 from ..regex import ast as ast_mod
@@ -366,7 +366,8 @@ def _compile_anchored(
     The anchor-free *union* of the variant cores runs through the
     normal pipeline — that is what sizing, mapping, literal extraction
     and the cost models see.  The executable artifact is the gated
-    union NFA: each variant core is unfolded, Glushkov-translated and
+    union NFA: each variant core is Glushkov-translated with its
+    repetitions unfolded nested (as :func:`build_scan_nfa` does) and
     reduced independently, its gates are attached post-reduce (gates
     are uniform within one variant, so reduction cannot merge states
     with different positional semantics), and the parts are unioned.
@@ -387,12 +388,10 @@ def _compile_anchored(
             "compile.anchor", "compile", regex_id=regex_id,
             variants=len(variants),
         ):
-            parts = []
-            for variant in variants:
-                nfa = build_unfolded_nfa(variant.core)
-                if level:
-                    nfa = reduce_nfa(nfa, level=level)
-                parts.append(_gate_nfa(nfa, variant))
+            parts = [
+                _gate_nfa(_nested_nfa(variant.core, level), variant)
+                for variant in variants
+            ]
             scan_nfa = (
                 union_nfas(parts)
                 if parts
@@ -682,7 +681,7 @@ def _try_unfold_fallback(
         return None
     # Anchored patterns recompile from the anchor-free union core, so
     # the gated artifacts must be carried over (the scan NFA is already
-    # per-variant unfolded and does not change under force_unfold).
+    # unfolded per variant and does not change under force_unfold).
     unfolded.anchors = regex.anchors
     return unfolded
 
@@ -710,7 +709,12 @@ def _unfolded_symbols(node: ast_mod.Regex) -> int:
 
 
 def build_unfolded_nfa(parsed: ast_mod.Regex) -> NFA:
-    """The baseline processors' automaton: unfold, then Glushkov (§2)."""
+    """The baseline processors' automaton: unfold, then Glushkov (§2).
+
+    The unfolding is the flat ``r^m (r?)^(n-m)`` of :func:`unfold_all`,
+    O((n-m)²) edges per ``r{m,n}``: the ``nfa`` engine and the
+    CA/eAP/CAMA/CNT figures are taken on it.
+    """
     return glushkov(unfold_all(parsed))
 
 
@@ -718,16 +722,21 @@ def build_scan_nfa(compiled: CompiledRegex) -> NFA:
     """The per-pattern NFA the fused software engine executes.
 
     Counter-free patterns reuse the reduced AH-NBVA state graph directly
-    (pruned and quotient-merged by :mod:`repro.compiler.reduce`);
-    patterns that kept live bit vectors after rewriting fall back to the
-    fully unfolded Glushkov NFA, which exists for every supported regex
-    and is reduced by the same quotients at the level the pattern was
-    compiled with, so ``pattern_slice`` narrows on that path too.
+    (pruned and quotient-merged by :mod:`repro.compiler.reduce`).
+    Patterns that kept live bit vectors after rewriting get the Glushkov
+    NFA of the parsed pattern with every ``r{m,n}`` unfolded nested, as
+    ``r^m (r(r(…)?)?)?``
+    (:func:`repro.automata.glushkov.nested_glushkov`), reduced by the
+    same quotients at the level the pattern was compiled with, so
+    ``pattern_slice`` narrows on that path too.  It has the positions
+    of :func:`build_unfolded_nfa`'s flat unfolding, so the same state
+    count, but O(n) edges where the flat one has O((n-m)²), and it is
+    built in a loop, at any width, within the default recursion limit.
 
     Anchored patterns short-circuit to the gated union NFA assembled at
-    compile time — the AH-NBVA/unfolded paths would re-derive an
-    automaton for the *un-gated* union core and lose the positional
-    semantics.
+    compile time from the same nested construction, one part per
+    variant — the two paths above would re-derive an automaton for the
+    *un-gated* union core and lose the positional semantics.
     """
     if compiled.anchors is not None:
         return compiled.anchors.scan_nfa
@@ -736,8 +745,12 @@ def build_scan_nfa(compiled: CompiledRegex) -> NFA:
             return ah_to_nfa(compiled.ah)
         except ValueError:  # malformed finalisation; unfold instead
             pass
-    nfa = build_unfolded_nfa(compiled.parsed)
-    level = (compiled.reduction or {}).get("level", 0)
-    if level:
-        nfa = reduce_nfa(nfa, level=level)
-    return nfa
+    return _nested_nfa(
+        compiled.parsed, (compiled.reduction or {}).get("level", 0)
+    )
+
+
+def _nested_nfa(node: ast_mod.Regex, level: int) -> NFA:
+    """The nested-unfolded Glushkov NFA of ``node``, reduced at ``level``."""
+    nfa = nested_glushkov(node)
+    return reduce_nfa(nfa, level=level) if level else nfa

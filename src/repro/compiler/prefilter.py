@@ -121,9 +121,15 @@ def max_match_len(node: Regex) -> Optional[int]:
     return _max_len(node, {})
 
 
-def _max_len(node: Regex, memo: Dict[Regex, Optional[int]]) -> Optional[int]:
-    if node in memo:
-        return memo[node]
+# The memos below key on ``id(node)``: the nodes are frozen dataclasses,
+# whose hash walks the whole subtree on every lookup.  The tree being
+# walked keeps every node, and so its id, alive for the memo's lifetime.
+
+
+def _max_len(node: Regex, memo: Dict[int, Optional[int]]) -> Optional[int]:
+    key = id(node)
+    if key in memo:
+        return memo[key]
     result: Optional[int]
     if isinstance(node, Epsilon):
         result = 0
@@ -157,7 +163,26 @@ def _max_len(node: Regex, memo: Dict[Regex, Optional[int]]) -> Optional[int]:
             result = inner * node.high
     else:  # pragma: no cover - future node kinds stay conservative
         result = None
-    memo[node] = result
+    memo[key] = result
+    return result
+
+
+def _nullable(node: Regex, memo: Dict[int, bool]) -> bool:
+    """:func:`repro.regex.ast.nullable`, memoised per node."""
+    key = id(node)
+    result = memo.get(key)
+    if result is None:
+        if isinstance(node, Concat):
+            result = _nullable(node.left, memo) and _nullable(node.right, memo)
+        elif isinstance(node, Alternation):
+            result = _nullable(node.left, memo) or _nullable(node.right, memo)
+        elif isinstance(node, Plus):
+            result = _nullable(node.inner, memo)
+        elif isinstance(node, Repeat):
+            result = node.low == 0 or _nullable(node.inner, memo)
+        else:
+            result = nullable(node)
+        memo[key] = result
     return result
 
 
@@ -166,15 +191,16 @@ def _max_len(node: Regex, memo: Dict[Regex, Optional[int]]) -> Optional[int]:
 
 
 def _exact(
-    node: Regex, memo: Dict[Regex, Optional[FrozenSet[bytes]]]
+    node: Regex, memo: Dict[int, Optional[FrozenSet[bytes]]]
 ) -> Optional[FrozenSet[bytes]]:
     """The complete match language of ``node`` as a small set of byte
     strings, or ``None`` when it is not exactly such a set (within the
     ``_EXACT_*`` caps).  Used to join literal runs — ``literal("abc")``
     parses to a Concat tree of single-byte symbols — and to turn small
     alternations of literals into hint alternatives."""
-    if node in memo:
-        return memo[node]
+    key = id(node)
+    if key in memo:
+        return memo[key]
     result: Optional[FrozenSet[bytes]] = None
     if isinstance(node, Epsilon):
         result = frozenset((b"",))
@@ -239,7 +265,7 @@ def _exact(
                     break
             result = frozenset(language) if ok else None
     # Star / Plus: infinite languages, stay None.
-    memo[node] = result
+    memo[key] = result
     return result
 
 
@@ -247,47 +273,54 @@ def _exact(
 # Required-literal alternatives
 
 
+class _Memos:
+    """One extraction's memos, each keyed on ``id(node)``."""
+
+    __slots__ = ("required", "exact", "max_len", "nullable")
+
+    def __init__(self) -> None:
+        self.required: Dict[int, Optional[Tuple[Tuple[bytes, int], ...]]] = {}
+        self.exact: Dict[int, Optional[FrozenSet[bytes]]] = {}
+        self.max_len: Dict[int, Optional[int]] = {}
+        self.nullable: Dict[int, bool] = {}
+
+
 def _required(
-    node: Regex,
-    memo: Dict[Regex, Optional[Tuple[Tuple[bytes, int], ...]]],
-    exact_memo: Dict[Regex, Optional[FrozenSet[bytes]]],
-    len_memo: Dict[Regex, Optional[int]],
+    node: Regex, memos: _Memos
 ) -> Optional[Tuple[Tuple[bytes, int], ...]]:
     """A tuple of ``(literal, pre)`` alternatives such that every match
     of ``node`` contains one of the literals starting at most ``pre``
     bytes after the match start — or ``None`` when no finite guarantee
     exists."""
-    if node in memo:
-        return memo[node]
+    memo = memos.required
+    key = id(node)
+    if key in memo:
+        return memo[key]
     result: Optional[Tuple[Tuple[bytes, int], ...]] = None
-    if nullable(node):
+    if _nullable(node, memos.nullable):
         # The empty match contains no literal at all.
-        memo[node] = None
+        memo[key] = None
         return None
 
     candidates = []
-    exact = _exact(node, exact_memo)
+    exact = _exact(node, memos.exact)
     if exact and all(exact):
         candidates.append(tuple((lit, 0) for lit in sorted(exact)))
 
     if isinstance(node, Concat):
-        left = _required(node.left, memo, exact_memo, len_memo)
+        left = _required(node.left, memos)
         if left is not None:
             candidates.append(left)
-        left_max = _max_len(node.left, len_memo)
+        left_max = _max_len(node.left, memos.max_len)
         if left_max is not None:
-            right = _required(node.right, memo, exact_memo, len_memo)
+            right = _required(node.right, memos)
             if right is not None:
                 candidates.append(
                     tuple((lit, pre + left_max) for lit, pre in right)
                 )
     elif isinstance(node, Alternation):
-        left = _required(node.left, memo, exact_memo, len_memo)
-        right = (
-            _required(node.right, memo, exact_memo, len_memo)
-            if left is not None
-            else None
-        )
+        left = _required(node.left, memos)
+        right = _required(node.right, memos) if left is not None else None
         if left is not None and right is not None:
             merged: Dict[bytes, int] = {}
             for lit, pre in left + right:
@@ -296,12 +329,12 @@ def _required(
                     merged[lit] = pre
             candidates.append(tuple(sorted(merged.items())))
     elif isinstance(node, Plus):
-        inner = _required(node.inner, memo, exact_memo, len_memo)
+        inner = _required(node.inner, memos)
         if inner is not None:
             candidates.append(inner)
     elif isinstance(node, Repeat) and node.low >= 1:
         # The first of the >= 1 mandatory iterations starts at offset 0.
-        inner = _required(node.inner, memo, exact_memo, len_memo)
+        inner = _required(node.inner, memos)
         if inner is not None:
             candidates.append(inner)
     # Star / Optional_ / Repeat{0,n} are nullable and returned above;
@@ -309,7 +342,7 @@ def _required(
 
     if candidates:
         result = max(candidates, key=_candidate_score)
-    memo[node] = result
+    memo[key] = result
     return result
 
 
@@ -340,7 +373,7 @@ def extract_literals(
     Returns ``None`` when the pattern has no usable required literal —
     the engine then keeps its start states always armed.
     """
-    required = _required(node, {}, {}, {})
+    required = _required(node, _Memos())
     if required is None:
         return None
     # Truncation to a prefix is sound; merge duplicates on the widest pre.

@@ -369,7 +369,7 @@ def reduce_nfa(nfa: NFA, level: int = DEFAULT_REDUCE_LEVEL) -> NFA:
     """Apply the same quotients to a plain homogeneous NFA.
 
     Used by :func:`repro.compiler.pipeline.build_scan_nfa` on the
-    fully unfolded Glushkov automaton of counting patterns, so the fused
+    nested-unfolded Glushkov automaton of counting patterns, so the fused
     engine's combined bitset (and each ``pattern_slice``) narrows for
     those patterns too.  ``match_empty`` (set dynamically by
     :func:`repro.automata.ah.to_nfa`) is preserved when present.

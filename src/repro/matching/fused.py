@@ -11,8 +11,9 @@ style data-parallel matching (see PAPERS.md).
 Construction (:func:`fuse_patterns`):
 
 * every pattern contributes its scanning NFA — the pruned AH-NBVA state
-  graph when it is counter-free, else the fully unfolded Glushkov NFA
-  (:func:`repro.compiler.pipeline.build_scan_nfa`);
+  graph when it is counter-free, else the Glushkov NFA with each
+  ``r{m,n}`` unfolded nested, ``r^m (r(r(…)?)?)?``, whose edges grow
+  linearly in ``n`` (:func:`repro.compiler.pipeline.build_scan_nfa`);
 * each pattern's states are offset-remapped into one combined
   ``classes`` / ``transitions`` / ``initial`` / ``final`` space;
 * a ``final state -> pattern_id`` report map recovers which pattern
@@ -158,7 +159,7 @@ class FusedAutomaton:
             base; ``offsets[i+1] - offsets[i]`` is pattern *i*'s size).
         sources: per-pattern automaton provenance, ``"ah"`` when the
             counter-free AH-NBVA graph was reused, ``"unfolded"`` for
-            the Glushkov fallback.
+            the nested-unfolded Glushkov NFA.
         nfas: the original per-pattern NFAs (kept so the set can be
             re-fused without recompiling: a pattern removed, or new
             patterns appended).
@@ -506,6 +507,8 @@ class FusedMatcher:
         self._boi_mask = states_to_mask(fused.boi)
         self._eoi_mask = states_to_mask(fused.eoi_finals)
         self._adjust_mask = states_to_mask(fused.adjust_finals)
+        #: States whose activation interns a reporting table state.
+        self._report_mask = self._final_mask | self._adjust_mask
         self._anchored = fused.anchored
         #: Per-byte injection mask: ``^``-gated start states are armed
         #: only by the dedicated stream-offset-0 step, never per byte.
@@ -718,23 +721,28 @@ class FusedMatcher:
 
     def _intern(self, mask: int) -> int:
         """Dense id of ``mask``, interning it on first sight.  A full
-        table is flushed first."""
-        sid = self._state_ids.get(mask)
-        if sid is not None:
-            return sid
+        table is flushed first.  The mask is hashed once, by
+        ``setdefault``, unless that flush empties the dict."""
+        sid = len(self._state_masks)
+        found = self._state_ids.setdefault(mask, sid)
+        if found != sid:
+            return found
         if (
-            len(self._state_masks) >= self._table_states
+            sid >= self._table_states
             or self._table_bytes >= self._table_byte_limit
         ):
             self._flush()
-        sid = len(self._state_masks)
-        self._state_ids[mask] = sid
+            sid = len(self._state_masks)
+            self._state_ids[mask] = sid
         self._state_masks.append(mask)
-        report, report_adj = self._reports(mask)
-        self._state_emits.append(
-            tuple((slot, 0) for slot in report)
-            + tuple((slot, 1) for slot in report_adj)
-        )
+        if mask & self._report_mask:
+            report, report_adj = self._reports(mask)
+            self._state_emits.append(
+                tuple((slot, 0) for slot in report)
+                + tuple((slot, 1) for slot in report_adj)
+            )
+        else:
+            self._state_emits.append(())
         if sid == len(self._cols[0][0]):
             block = [-1] * _COLUMN_BLOCK
             for cols in self._cols:

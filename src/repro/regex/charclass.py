@@ -128,13 +128,12 @@ class CharClass:
         return self.mask & ~other.mask == 0
 
     def __iter__(self) -> Iterator[int]:
+        """The member bytes, ascending, one step per member."""
         mask = self.mask
-        byte = 0
         while mask:
-            if mask & 1:
-                yield byte
-            mask >>= 1
-            byte += 1
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
 
     # ------------------------------------------------------------------
     # Identity
