@@ -3,8 +3,11 @@
 A Glushkov NFA (§2) is ε-free and *homogeneous*: every transition entering a
 state carries the same character class, so the class can be pushed onto the
 state itself (the hardware's STE predicate, Fig. 2(b)).  States are dense
-integers and state sets are represented as int bitsets, which makes a
-simulation step two or three big-int operations.
+integers and state sets are represented as int bitsets, so a simulation
+step is a handful of big-int operations: the step moves every edge
+s -> s+1 of every live state with one shift, as BVAP's bit-vector
+module shifts a whole repetition (§4–5), and reads each group of states
+that share their other successors once (:class:`ShiftPlan`).
 
 These NFAs are the execution substrate of the baseline processors (AP, CA,
 eAP, CAMA), which handle bounded repetitions by unfolding.
@@ -13,7 +16,7 @@ eAP, CAMA), which handle bounded repetitions by unfolding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .._bits import popcount
 from ..regex.charclass import ALPHABET_SIZE, CharClass
@@ -136,8 +139,8 @@ class NFAMatcher:
         self._match_masks = _build_match_masks(nfa.classes)
         self._initial_mask = _to_mask(nfa.initial)
         self._final_mask = _to_mask(nfa.final)
-        # successor mask per state (who becomes available when I am active)
-        self._succ_masks = [_to_mask(dsts) for dsts in nfa.transitions]
+        # who becomes available when a set of states is active
+        self._successors = build_shift_plan(nfa.transitions).successors
         self.reset()
 
     def reset(self) -> None:
@@ -151,13 +154,7 @@ class NFAMatcher:
         always-available initial states; intersecting with the states whose
         predicate matches the symbol yields the new active set.
         """
-        available = self._initial_mask
-        active = self.active
-        succ = self._succ_masks
-        while active:
-            low = active & -active
-            available |= succ[low.bit_length() - 1]
-            active ^= low
+        available = self._initial_mask | self._successors(self.active)
         self.active = available & self._match_masks[symbol]
         return bool(self.active & self._final_mask)
 
@@ -214,6 +211,96 @@ def _build_match_masks(classes: Sequence[CharClass]) -> List[int]:
         for symbol in cc:
             masks[symbol] |= union
     return masks
+
+
+class ShiftPlan:
+    """An NFA's edges split into the actions of BVAP's bit-vector module.
+
+    The states of an unfolded ``r{m,n}`` are the bits of the vector the
+    hardware keeps for it, and its edges fall into three kinds:
+
+    * ``forward`` holds every state with the edge s -> s+1.  All of them
+      move at once, as ``(active & forward) << 1``: the BVM ``shift``
+      (§4–5), one copy of the repetition along per byte;
+    * ``keep`` holds the states with a self-loop, kept as
+      ``active & keep``;
+    * every other edge belongs to a *group*, a run of neighbouring
+      states with the same remaining targets.  One live bit anywhere in
+      the group ORs those targets once and the read jumps past the
+      group, as ``rAll`` reads a whole vector and ``r(n)`` one bit.
+
+    A nested chain ``a.{0,n}b`` is one group whatever ``n`` is, so a
+    step costs one shift plus one OR per *live group*, where a per-state
+    step ORs one successor mask per live state.  On a flat
+    ``r^m (r?)^(n-m)`` every optional copy has its own targets, each
+    group is one state, and the step does the per-state work.
+    ``groups[state]`` is the ``(targets, end)`` of the state's group
+    (``end`` one past its last state), shared by its members, or None.
+    """
+
+    __slots__ = ("forward", "keep", "grouped", "groups")
+
+    def __init__(
+        self,
+        forward: int,
+        keep: int,
+        grouped: int,
+        groups: List[Optional[Tuple[int, int]]],
+    ) -> None:
+        self.forward = forward
+        self.keep = keep
+        self.grouped = grouped
+        self.groups = groups
+
+    @property
+    def num_groups(self) -> int:
+        """Distinct groups: runs of states sharing their other targets."""
+        return len({id(group) for group in self.groups if group})
+
+    def successors(self, active: int) -> int:
+        """The union of the successors of every state in ``active``."""
+        if not active:
+            return 0
+        out = ((active & self.forward) << 1) | (active & self.keep)
+        live = active & self.grouped
+        groups = self.groups
+        while live:
+            targets, end = groups[(live & -live).bit_length() - 1]
+            out |= targets
+            live = live >> end << end
+        return out
+
+
+def build_shift_plan(transitions: Sequence[Sequence[int]]) -> ShiftPlan:
+    """Split ``transitions`` (per-state successor lists) into a
+    :class:`ShiftPlan`; its :meth:`ShiftPlan.successors` equals the OR
+    of the successor sets of the active states."""
+    forward = keep = 0
+    others: List[int] = []
+    for state, dsts in enumerate(transitions):
+        rest = 0
+        for dst in dsts:
+            if dst == state + 1:
+                forward |= 1 << state
+            elif dst == state:
+                keep |= 1 << state
+            else:
+                rest |= 1 << dst
+        others.append(rest)
+    count = len(others)
+    grouped = 0
+    groups: List[Optional[Tuple[int, int]]] = [None] * count
+    first = 0
+    while first < count:
+        rest = others[first]
+        end = first + 1
+        if rest:
+            while end < count and others[end] == rest:
+                end += 1
+            grouped |= ((1 << (end - first)) - 1) << first
+            groups[first:end] = [(rest, end)] * (end - first)
+        first = end
+    return ShiftPlan(forward, keep, grouped, groups)
 
 
 #: Public names for the bitset plumbing, reused by the fused scan engine

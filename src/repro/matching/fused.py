@@ -46,8 +46,10 @@ first, all producing byte-identical match streams:
    resets its DFA cache, however often that happens.  A start column,
    one entry per byte class, serves the stream-offset-0 step.
 3. **Bitset stepping with a lazy-DFA cache** — the big-int closure step
-   memoised as ``(active_mask, byte) -> (next_mask, fired pattern ids)``
-   in a bounded LRU.  It serves only scans with the table off
+   (one shift moves every chain, one OR reads each live group:
+   :class:`repro.automata.nfa.ShiftPlan`) memoised as
+   ``(active_mask, byte) -> (next_mask, fired pattern ids)`` in a
+   bounded LRU.  It serves only scans with the table off
    (``table_states=0``), the reference the other tiers are tested
    against.
 
@@ -78,6 +80,7 @@ from ..automata.ah import is_counter_free
 from ..automata.nfa import (
     NFA,
     build_match_masks,
+    build_shift_plan,
     byte_class_ids,
     mask_to_states,
     states_to_mask,
@@ -501,7 +504,8 @@ class FusedMatcher:
         self._match_masks = build_match_masks(fused.classes)
         self._initial_mask = states_to_mask(fused.initial)
         self._final_mask = states_to_mask(fused.finals)
-        self._succ_masks = [states_to_mask(dsts) for dsts in fused.transitions]
+        #: One step's successors: a shift per chain, an OR per live group.
+        self._successors = build_shift_plan(fused.transitions).successors
         self._state_pattern = fused.state_pattern
         # -- anchor gates --------------------------------------------------
         self._boi_mask = states_to_mask(fused.boi)
@@ -645,15 +649,12 @@ class FusedMatcher:
     # -- one combined transition -------------------------------------
 
     def _step(self, active: int, symbol: int, inject: int) -> int:
-        """The raw bitset step: OR the successor masks of every active
-        state onto ``inject`` (the start states armed at this byte), then
-        keep the states whose class accepts ``symbol``.  Uncached."""
-        succ = self._succ_masks
-        while active:
-            low = active & -active
-            inject |= succ[low.bit_length() - 1]
-            active ^= low
-        return inject & self._match_masks[symbol]
+        """The raw bitset step: the successors of the active states
+        (:class:`repro.automata.nfa.ShiftPlan`: one shift moves every
+        chain, one OR reads each live group) onto ``inject`` (the start
+        states armed at this byte), then keep the states whose class
+        accepts ``symbol``.  Uncached."""
+        return (inject | self._successors(active)) & self._match_masks[symbol]
 
     def _reports(self, mask: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Pattern ids of the final and ``\\b`` confirm states in ``mask``."""

@@ -261,7 +261,8 @@ class _Parser:
 
     def _number(self) -> Optional[int]:
         digits = ""
-        while (char := self._peek()) is not None and char.isdigit():
+        # ASCII digits only: str.isdigit() also accepts '¹', which int() rejects.
+        while (char := self._peek()) is not None and char in "0123456789":
             digits += self._next()
         return int(digits) if digits else None
 

@@ -7,7 +7,9 @@ flat ``r^m (r?)^(n-m)`` that :func:`build_unfolded_nfa` gives the ``nfa``
 engine and the baselines, the same language, and O(n) edges instead of
 O((n-m)²).  These tests hold the two constructions to the same streams
 and positions, bound the nested edges, and pin the flat edges so the
-baselines provably keep their unfolding.
+baselines provably keep their unfolding.  They also hold the shift step
+(:class:`repro.automata.nfa.ShiftPlan`) to the per-state step it
+replaced, which the library no longer keeps: the reference is here.
 """
 
 import sys
@@ -17,6 +19,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.automata.glushkov import glushkov, nested_glushkov
+from repro.automata.nfa import (
+    NFAMatcher,
+    build_match_masks,
+    build_shift_plan,
+    states_to_mask,
+)
 from repro.compiler import CompilerOptions
 from repro.compiler.pipeline import (
     build_scan_nfa,
@@ -24,7 +32,7 @@ from repro.compiler.pipeline import (
     compile_pattern,
 )
 from repro.matching import Match, PatternSet
-from repro.matching.fused import fuse_patterns
+from repro.matching.fused import FusedMatcher, fuse_patterns
 from repro.matching.oracle import match_ends as oracle_ends
 from repro.regex import ast
 from repro.regex.charclass import CharClass
@@ -102,6 +110,27 @@ def degree_bound(core):
     return (repeat_depth(core) + 1) * ast.symbol_count(core)
 
 
+def per_state_successors(transitions, active):
+    """The step the shift plan replaced: OR every live state's
+    successors, one state at a time."""
+    out = 0
+    for state, dsts in enumerate(transitions):
+        if active >> state & 1:
+            for dst in dsts:
+                out |= 1 << dst
+    return out
+
+
+def compile_or_reject(patterns):
+    try:
+        return [
+            compile_pattern(pattern, index, OPTIONS)
+            for index, pattern in enumerate(patterns)
+        ]
+    except ReproError:
+        assume(False)  # an unsupported anchor placement
+
+
 def events_fed(pattern_set, stream, step):
     pattern_set.reset()
     out = []
@@ -123,13 +152,7 @@ def events_fed(pattern_set, stream, step):
 )
 def test_nested_scan_nfa_matches_flat_and_oracle(patterns, stream):
     stream = bytes(stream)
-    try:
-        compiled = [
-            compile_pattern(pattern, index, OPTIONS)
-            for index, pattern in enumerate(patterns)
-        ]
-    except ReproError:
-        assume(False)  # an unsupported anchor placement
+    compiled = compile_or_reject(patterns)
     expected = []
     for index, regex in enumerate(compiled):
         source = regex.anchors.source if regex.anchors else regex.parsed
@@ -163,6 +186,85 @@ def test_nested_scan_nfa_matches_flat_and_oracle(patterns, stream):
     finally:
         fused.close()
         reference.close()
+
+
+STEP_SETTINGS = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+STREAMS = st.lists(st.sampled_from(list(b"aabbcx -")), max_size=40)
+
+
+@STEP_SETTINGS
+@given(
+    patterns=st.lists(ranged_patterns(), min_size=1, max_size=3),
+    stream=STREAMS,
+    data=st.data(),
+)
+def test_fused_shift_step_equals_per_state_step(patterns, stream, data):
+    """Every activation of a fused set: the shift step equals the
+    per-state step under the full injection, the prefilter's reduced
+    one and the stream-offset-0 step's, along a walk that switches
+    between them at random and from random activations."""
+    matcher = FusedMatcher(fuse_patterns(compile_or_reject(patterns)))
+    transitions = matcher.fused.transitions
+    injections = (
+        matcher._inject_initial,
+        matcher._open_initial,
+        matcher._initial_mask,
+    )
+
+    def assert_steps_equal(active, symbol):
+        steps = []
+        for inject in injections:
+            expected = (
+                inject | per_state_successors(transitions, active)
+            ) & matcher._match_masks[symbol]
+            assert matcher._step(active, symbol, inject) == expected
+            steps.append(expected)
+        return steps
+
+    active = 0
+    for symbol in stream:
+        active = assert_steps_equal(active, symbol)[
+            data.draw(st.integers(0, 2), label="injection")
+        ]
+    everything = (1 << matcher.fused.num_states) - 1
+    for _ in range(4):
+        assert_steps_equal(
+            data.draw(st.integers(0, everything), label="activation"),
+            data.draw(st.sampled_from(b"abcx-"), label="symbol"),
+        )
+
+
+@STEP_SETTINGS
+@given(
+    patterns=st.lists(ranged_patterns(), min_size=1, max_size=2),
+    stream=STREAMS,
+    data=st.data(),
+)
+def test_nfa_matcher_shift_step_equals_per_state_step(patterns, stream, data):
+    """The ``nfa`` engine's flat unfoldings, stepped by ``NFAMatcher``:
+    every activation equals the per-state step's."""
+    for regex in compile_or_reject(patterns):
+        for core in cores(regex):
+            nfa = build_unfolded_nfa(core)
+            matcher = NFAMatcher(nfa)
+            masks = build_match_masks(nfa.classes)
+            initial = states_to_mask(nfa.initial)
+            active = 0
+            for symbol in stream:
+                active = (
+                    initial | per_state_successors(nfa.transitions, active)
+                ) & masks[symbol]
+                matcher.step(symbol)
+                assert matcher.active == active, regex.pattern
+            plan = build_shift_plan(nfa.transitions)
+            mask = data.draw(st.integers(0, (1 << nfa.num_states) - 1))
+            assert plan.successors(mask) == per_state_successors(
+                nfa.transitions, mask
+            )
 
 
 class TestNestedConstruction:
@@ -251,22 +353,42 @@ class TestFlatBaselineUnchanged:
 
 
 class TestDatasetScanNFAs:
-    """The fused state count is the flat one; the edges are not."""
+    """The fused state count is the flat one; the edges are not.  Nearly
+    every edge is a forward one, so the shift step reads only a few
+    groups."""
 
     @pytest.mark.parametrize(
-        "name,count,states,max_edges",
+        "name,count,states,edges,forward,loops,groups",
         [
-            ("RegexLib", 64, 1944, 2400),
-            ("ClamAV", 16, 4025, 5000),
-            ("YARA", 16, 3102, 5000),
+            ("RegexLib", 64, 1944, 2345, 1765, 12, 150),
+            ("ClamAV", 16, 4025, 4173, 4006, 10, 8),
+            ("YARA", 16, 3102, 4144, 3080, 3, 11),
+            ("Snort", 16, 1717, 1772, 1696, 8, 11),
         ],
     )
-    def test_states_and_edges(self, name, count, states, max_edges):
+    def test_states_and_edges(
+        self, name, count, states, edges, forward, loops, groups
+    ):
         compiled = [
             compile_pattern(pattern, index)
             for index, pattern in enumerate(load_dataset(name, count, 1))
         ]
         fused = fuse_patterns(compiled)
-        edges = sum(len(dsts) for dsts in fused.transitions)
+        plan = build_shift_plan(fused.transitions)
         assert fused.num_states == states
-        assert edges <= max_edges
+        assert sum(len(dsts) for dsts in fused.transitions) == edges
+        assert bin(plan.forward).count("1") == forward
+        assert bin(plan.keep).count("1") == loops
+        assert plan.num_groups == groups
+
+    @pytest.mark.parametrize("width", [16, 256, 1024])
+    def test_a_chain_is_one_group(self, width):
+        """Per-byte time grows with the number of chains, not with their
+        length: however wide the gap, ``a.{0,n}b`` is one group, and each
+        further chain adds one."""
+        chain = compile_pattern(f"a.{{0,{width}}}b")
+        plan = build_shift_plan(fuse_patterns([chain]).transitions)
+        assert bin(plan.forward).count("1") == width + 1
+        assert plan.num_groups == 1
+        two = fuse_patterns([chain, compile_pattern(f"c.{{0,{width}}}d", 1)])
+        assert build_shift_plan(two.transitions).num_groups == 2

@@ -43,3 +43,12 @@ def test_parse_of_random_bytes_as_latin1(data):
         parse(data.decode("latin-1"))
     except (RegexSyntaxError, UnicodeEncodeError):
         pass
+
+
+def test_non_ascii_digits_are_literal_braces():
+    """``str.isdigit`` holds for ``¹`` and ``²``, which ``int`` rejects:
+    a brace around them is literal, as ``{x}`` is (the latin-1 fuzz above
+    found ``b'\\x00{\\xb9'``)."""
+    assert str(parse("a{\xb9}")) == str(parse("a\\{\xb9\\}"))
+    assert str(parse("a{1\xb2}")) == str(parse("a\\{1\xb2\\}"))
+    parse("\x00{\xb9")
