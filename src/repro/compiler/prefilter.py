@@ -26,18 +26,20 @@ each literal occurrence (see ``docs/matching.md``).  Soundness rules:
   therefore disqualify the right-hand literal.
 
 Truncating a required literal to a prefix is always sound (a superset
-of positions is armed), which keeps ``bytes.find`` probes short.
+of positions is armed), which keeps the sweep's literal checks short.
 
 Extraction is intentionally conservative: ``extract_literals`` returns
 ``None`` whenever no *useful* guarantee exists (literals too short, too
 many alternatives, or an unbounded ``pre``), and the engine keeps such
-patterns always-on.
+patterns always-on.  Among a node's candidate guarantees, one these
+acceptance rules pass is always preferred, so a longer literal that
+sits too far into the match never hides a usable one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..regex.ast import (
     Alternation,
@@ -70,8 +72,14 @@ MIN_LITERAL_LEN = 2
 #: Required literals are truncated to this many bytes before matching;
 #: longer probes buy nothing once the false-positive rate is tiny.
 MAX_LITERAL_LEN = 16
-#: Maximum number of distinct hint literals per pattern; more than this
-#: and the per-chunk ``bytes.find`` sweep stops paying for itself.
+#: Maximum number of distinct hint literals per pattern.  It bounds what
+#: one pattern adds to a chunk's sweep: a ``bytes.find`` pass per hint
+#: in a small plan, a key (often a head of its own) in a code-unit sweep
+#: (:class:`repro.matching.fused._UnitSweep`), whose groups each scan
+#: the chunk once.  It also keeps out patterns whose literals are so
+#: many alternatives of one class that they arm nearly everywhere.  The
+#: bound dates from when every hint cost a ``find`` pass of 40-65 us per
+#: 64 KiB; it has not been re-tuned for the code-unit sweep.
 MAX_LITERAL_ALTS = 8
 #: Maximum allowed ``pre`` (arming window) per hint.  Patterns whose
 #: literal can sit arbitrarily far into the match stay always-on.
@@ -273,16 +281,48 @@ def _exact(
 # Required-literal alternatives
 
 
+@dataclass(frozen=True)
+class _Limits:
+    """The acceptance rules of :func:`extract_literals`."""
+
+    min_len: int = MIN_LITERAL_LEN
+    max_len: int = MAX_LITERAL_LEN
+    max_alts: int = MAX_LITERAL_ALTS
+    max_pre: int = MAX_PREFIX_DISTANCE
+
+
 class _Memos:
-    """One extraction's memos, each keyed on ``id(node)``."""
+    """One extraction's limits and memos, each memo keyed on
+    ``id(node)``."""
 
-    __slots__ = ("required", "exact", "max_len", "nullable")
+    __slots__ = ("limits", "required", "exact", "max_len", "nullable")
 
-    def __init__(self) -> None:
+    def __init__(self, limits: _Limits) -> None:
+        self.limits = limits
         self.required: Dict[int, Optional[Tuple[Tuple[bytes, int], ...]]] = {}
         self.exact: Dict[int, Optional[FrozenSet[bytes]]] = {}
         self.max_len: Dict[int, Optional[int]] = {}
         self.nullable: Dict[int, bool] = {}
+
+
+def _accept(
+    candidate: Tuple[Tuple[bytes, int], ...], limits: _Limits
+) -> Optional[Dict[bytes, int]]:
+    """``candidate`` truncated to ``max_len``-byte prefixes, duplicates
+    merged on the widest ``pre``; None when it breaks an acceptance rule.
+    Truncation to a prefix is sound."""
+    merged: Dict[bytes, int] = {}
+    for literal, pre in candidate:
+        prefix = literal[: limits.max_len]
+        prev = merged.get(prefix)
+        if prev is None or pre > prev:
+            merged[prefix] = pre
+    if len(merged) > limits.max_alts:
+        return None
+    for literal, pre in merged.items():
+        if len(literal) < limits.min_len or pre > limits.max_pre:
+            return None
+    return merged
 
 
 def _required(
@@ -291,17 +331,36 @@ def _required(
     """A tuple of ``(literal, pre)`` alternatives such that every match
     of ``node`` contains one of the literals starting at most ``pre``
     bytes after the match start — or ``None`` when no finite guarantee
-    exists."""
+    exists.  The best of :func:`_candidates`: one the acceptance rules
+    pass if any does, as a parent only widens ``pre`` and adds
+    alternatives, so a rejected candidate stays rejected above."""
     memo = memos.required
     key = id(node)
     if key in memo:
         return memo[key]
-    result: Optional[Tuple[Tuple[bytes, int], ...]] = None
-    if _nullable(node, memos.nullable):
-        # The empty match contains no literal at all.
-        memo[key] = None
-        return None
+    candidates = _candidates(node, memos)
+    result = max(candidates, key=_candidate_score, default=None)
+    limits = memos.limits
+    if len(candidates) > 1 and _accept(result, limits) is None:
+        result = max(
+            candidates,
+            key=lambda candidate: (
+                _accept(candidate, limits) is not None,
+                *_candidate_score(candidate),
+            ),
+        )
+    memo[key] = result
+    return result
 
+
+def _candidates(
+    node: Regex, memos: _Memos
+) -> List[Tuple[Tuple[bytes, int], ...]]:
+    """Every required-literal alternative tuple derived for ``node`` from
+    its own exact language and its children's choices; empty when
+    ``node`` is nullable (the empty match contains no literal at all)."""
+    if _nullable(node, memos.nullable):
+        return []
     candidates = []
     exact = _exact(node, memos.exact)
     if exact and all(exact):
@@ -339,11 +398,7 @@ def _required(
             candidates.append(inner)
     # Star / Optional_ / Repeat{0,n} are nullable and returned above;
     # Symbol and Epsilon are covered by the exact-language candidate.
-
-    if candidates:
-        result = max(candidates, key=_candidate_score)
-    memo[key] = result
-    return result
+    return candidates
 
 
 def _candidate_score(
@@ -373,21 +428,11 @@ def extract_literals(
     Returns ``None`` when the pattern has no usable required literal —
     the engine then keeps its start states always armed.
     """
-    required = _required(node, _Memos())
-    if required is None:
+    limits = _Limits(min_len, max_len, max_alts, max_pre)
+    required = _required(node, _Memos(limits))
+    merged = None if required is None else _accept(required, limits)
+    if merged is None:
         return None
-    # Truncation to a prefix is sound; merge duplicates on the widest pre.
-    merged: Dict[bytes, int] = {}
-    for literal, pre in required:
-        prefix = literal[:max_len]
-        prev = merged.get(prefix)
-        if prev is None or pre > prev:
-            merged[prefix] = pre
-    if len(merged) > max_alts:
-        return None
-    for literal, pre in merged.items():
-        if len(literal) < min_len or pre > max_pre:
-            return None
     hints = tuple(
         LiteralHint(literal, pre)
         for literal, pre in sorted(

@@ -22,18 +22,22 @@ Construction (:func:`fuse_patterns`):
 Execution (:class:`FusedMatcher`) layers three stepping tiers, fastest
 first, all producing byte-identical match streams:
 
-1. **Literal prefilter** — when every gated pattern *requires* some
-   literal (:mod:`repro.compiler.prefilter`), each chunk is swept with
-   C-speed ``bytes.find`` probes and the automaton's gated start states
-   are only armed inside ``[occurrence - pre, occurrence]`` windows
-   around the hits (plus an unconditional tail window covering
-   occurrences that straddle into the next chunk).  Outside those
-   windows the activation decays with *reduced* start-state injection
-   and, once empty, the remaining gap is skipped outright.  A pattern
-   whose every start state is ``^``-gated is start-only: no window can
-   arm it, so it is neither swept nor in the way of a skip.  The case
-   spellings of a ``(?i)`` literal are swept once, over the lower-cased
-   chunk.
+1. **Literal prefilter** — every pattern that *requires* some literal
+   (:mod:`repro.compiler.prefilter`) is gated: each chunk is swept for
+   the literals and the automaton's gated start states are only armed
+   inside ``[occurrence - pre, occurrence]`` windows around the hits
+   (plus an unconditional tail window covering occurrences that
+   straddle into the next chunk).  A sweep of at least
+   :data:`UNIT_SWEEP_MIN_LITERALS` literals searches them all together,
+   the chunk read as UTF-16 code units by a few compiled ``re``
+   alternations grouped by each literal's first code unit
+   (:class:`_UnitSweep`); a smaller one makes one ``bytes.find`` pass
+   per literal.  Outside the windows the activation decays with
+   *reduced* start-state injection and, once empty, the remaining gap
+   is skipped outright.  A pattern whose every start state is
+   ``^``-gated is start-only: no window can arm it, so it is neither
+   swept nor in the way of a skip.  The case spellings of a ``(?i)``
+   literal are swept once, over the lower-cased chunk.
 2. **Dense transition table** — hot activation masks are interned as
    dense state ids and stepped through one successor column per
    byte-equivalence class (two bytes are equivalent iff they select the
@@ -63,12 +67,14 @@ Soundness of the prefilter rests on a monotone-arming argument: arming
 start states at a *superset* of the true match-start positions never
 changes the reported stream (extra partials either die or re-derive
 matches the full stepping would also report, and NFA set semantics
-dedupes them), and the find-plus-tail windows provably cover every true
+dedupes them), and the sweep-plus-tail windows provably cover every true
 match start of a gated pattern.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -126,15 +132,24 @@ _DRAIN = -(1 << 62)
 #: past every offset, never fired.
 _NO_CUTS = ((1 << 62, None),)
 
-#: Cap on the total number of distinct literals one prefilter plan may
-#: sweep per chunk; beyond this the ``bytes.find`` probes stop paying
-#: for themselves and the hint-heaviest patterns stay always-on.
-#: Lifted on ``regexlib_stream`` (seed 1, best of 3), it gates all 64
-#: patterns with 113 literals, but the sweep grows from 1.8 to 5.8 ms
-#: per 64 KiB chunk and skips only 5.4% of the stream, as loops like
-#: ``.{16,}`` keep activations live after a planted prefix: the scan
-#: drops from 8.7 to 6.4 MB/s.
-MAX_PLAN_LITERALS = 32
+#: Literals from which one sweep of a chunk searches them all together
+#: as code units (:class:`_UnitSweep`) instead of one ``bytes.find``
+#: pass each.  Per 64 KiB a find pass costs 45-60 us, the code-unit
+#: sweep 0.45-0.9 ms for 12-26 RegexLib literals; below 16 it saves at
+#: most 0.25 ms and costs twice the finds on a chunk of literal heads
+#: (docs/matching.md, *The literal sweep*).
+UNIT_SWEEP_MIN_LITERALS = 16
+
+#: Byte map of the code-unit sweep: bytes 0xD8-0xDF, the high bytes of
+#: UTF-16 surrogates, become 0xC8-0xCF, so every 2-byte window decodes
+#: to exactly one code unit.  A window the map merges with another is
+#: only a candidate, which the literal check on the real bytes rejects.
+_UNIT_MAP = bytes(
+    byte ^ 0x10 if 0xD8 <= byte <= 0xDF else byte for byte in range(256)
+)
+
+#: The bytes :data:`_UNIT_MAP` yields: every high byte of a code unit.
+_UNIT_HIGHS = sorted(set(_UNIT_MAP))
 
 
 def entry_bytes(active: int, next_mask: int, report_len: int = 0) -> int:
@@ -368,6 +383,92 @@ def build_fused(
     )
 
 
+class _UnitSweep:
+    """Every literal of one sweep searched together, the way a CAM
+    compares each input window with all its entries at once.
+
+    The chunk, mapped through :data:`_UNIT_MAP`, is decoded as UTF-16-LE
+    at both byte parities, so each 2-byte window is one code unit.  A
+    literal's *head* is its first code unit and its *key* the literal's
+    whole code units.  A 3-byte literal's key ends in the class of the
+    248 units its last byte is the low byte of, or in the end of the
+    chunk; a longer odd literal's last byte is left to the check (a
+    248-unit class costs about 0.4 ms to parse).  The keys sit in a few
+    compiled alternations grouped by head, each head once with its
+    literals' tails after it: ``re`` skips in C to the next code unit
+    that is one of a group's heads and matches the tails there in C, so
+    a partial occurrence reaches Python only when it holds a whole key
+    that omits a byte.  Each match is checked
+    against its head's literals with ``startswith`` on the unmapped
+    text, since the byte map merges a few bytes and a key may omit one,
+    and the search resumes one code unit later, so every occurrence of
+    every literal is found, as one ``find`` pass per literal finds them.
+
+    A group repeats the C scan over the whole chunk, while a candidate
+    tries every head of its group before its own, so at least 16 and
+    about ``2 * sqrt(heads)`` heads per group keep both costs low when
+    every code unit is a head.
+    """
+
+    __slots__ = ("searches", "by_head")
+
+    def __init__(self, literals: Tuple[Tuple[bytes, int], ...]) -> None:
+        #: Mapped head -> its ``(literal, pre)`` pairs.
+        self.by_head: Dict[str, List[Tuple[bytes, int]]] = {}
+        tails: Dict[str, Set[str]] = {}
+        for literal, pre in literals:
+            mapped = literal.translate(_UNIT_MAP)
+            head = mapped[:2].decode("utf-16-le")
+            self.by_head.setdefault(head, []).append((literal, pre))
+            if len(literal) == 3:
+                low = mapped[2]
+                units = "".join(chr(low | high << 8) for high in _UNIT_HIGHS)
+                tail = "(?:[%s]|\\Z)" % re.escape(units)
+            else:
+                even = len(literal) & ~1
+                tail = re.escape(mapped[2:even].decode("utf-16-le"))
+            tails.setdefault(head, set()).add(tail)
+        heads = sorted(tails)
+        alternatives = [
+            # A bare head (a 2-byte literal) needs no tail.
+            re.escape(head)
+            if "" in tails[head]
+            else "%s(?:%s)" % (re.escape(head), "|".join(sorted(tails[head])))
+            for head in heads
+        ]
+        size = max(16, math.ceil(2 * math.sqrt(len(heads))))
+        self.searches = tuple(
+            re.compile("|".join(alternatives[first : first + size])).search
+            for first in range(0, len(heads), size)
+        )
+
+    def sweep(
+        self, text: bytes, start: int, spans: List[Tuple[int, int]]
+    ) -> None:
+        """Append the ``(lo, idx + 1)`` window of each literal occurring
+        at ``idx >= start`` in ``text``, ``lo`` clamped to ``start``."""
+        mapped = memoryview(text.translate(_UNIT_MAP))
+        n = len(text)
+        by_head = self.by_head
+        for parity in (0, 1):
+            end = n - ((n - parity) & 1)
+            units = str(mapped[parity:end], "utf-16-le")
+            first = (start - parity + 1) // 2
+            for search in self.searches:
+                found = search(units, first)
+                while found is not None:
+                    unit = found.start()
+                    idx = 2 * unit + parity
+                    for literal, pre in by_head[units[unit]]:
+                        if text.startswith(literal, idx):
+                            lo = idx - pre
+                            spans.append(
+                                (lo if lo > start else start, idx + 1)
+                            )
+                    found = search(units, unit + 1)
+            del units  # freed before the other parity is decoded
+
+
 class _PrefilterPlan:
     """The merged, chunk-time view of a pattern set's literal contracts.
 
@@ -399,8 +500,20 @@ class _PrefilterPlan:
     ) -> None:
         self.hints = hints
         self.folded = folded
-        #: ``(folded, literals)`` per sweep of a chunk.
-        self.sweeps = ((False, hints),) + (((True, folded),) if folded else ())
+        #: ``(folded, literals, units)`` per sweep of a chunk: ``units``
+        #: searches a sweep of at least ``UNIT_SWEEP_MIN_LITERALS``
+        #: literals all together, None keeps one ``find`` per literal.
+        self.sweeps = tuple(
+            (
+                is_folded,
+                literals,
+                _UnitSweep(literals)
+                if len(literals) >= UNIT_SWEEP_MIN_LITERALS
+                else None,
+            )
+            for is_folded, literals in ((False, hints), (True, folded))
+            if literals
+        )
         self.open_initial = open_initial
         self.tail = tail
         self.gated = gated
@@ -428,14 +541,6 @@ def _build_plan(fused: FusedAutomaton) -> Optional[_PrefilterPlan]:
         for slot, lits in enumerate(literals)
         if lits is not None and slot in armable
     ]
-    # Cap the per-chunk find sweep: un-gate the hint-heaviest patterns
-    # until the combined literal set is small enough to pay off.
-    total = sum(len(lits.hints) for _, lits in entries)
-    if total > MAX_PLAN_LITERALS:
-        entries.sort(key=lambda entry: len(entry[1].hints))
-        while entries and total > MAX_PLAN_LITERALS:
-            _, dropped = entries.pop()
-            total -= len(dropped.hints)
     gated = frozenset(slot for slot, _ in entries)
     open_initial = 0
     for state in per_byte:
@@ -811,8 +916,11 @@ class FusedMatcher:
             segs.append((start, n, 0))
             return segs
         spans = [(max(n - plan.tail, start), n)]
-        for folded, hints in plan.sweeps:
+        for folded, hints, units in plan.sweeps:
             text = data.lower() if folded else data
+            if units is not None:
+                units.sweep(text, start, spans)
+                continue
             for literal, pre in hints:
                 idx = text.find(literal, start)
                 while idx >= 0:

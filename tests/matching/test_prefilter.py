@@ -34,6 +34,7 @@ from repro.workloads import (
     dataset_stream,
     generate_pattern,
     import_rules,
+    load_dataset,
 )
 
 OPTIONS = CompilerOptions(bv_size=8, unfold_threshold=2)
@@ -104,6 +105,15 @@ class TestExtractionPins:
         assert hints is not None
         ((literal, pre),) = hints
         assert len(literal) <= 16 and pre == 0
+
+    def test_far_alternation_yields_to_an_acceptable_prefix(self):
+        # The alternation's 4-byte literals outscore ``ab`` but sit past
+        # MAX_PREFIX_DISTANCE; ranking acceptable candidates first keeps
+        # the prefix, where the pattern would otherwise stay always-on.
+        assert hints_of("ab.{300}(efgh|ijkl)") == {(b"ab", 0)}
+        assert hints_of("ab.{200}(efgh|ijkl)") == {
+            (b"efgh", 202), (b"ijkl", 202)
+        }
 
     def test_max_match_len(self):
         assert max_match_len(parse("abc")) == 3
@@ -227,6 +237,48 @@ class TestStartOnlyPatterns:
             + counters["steps_bitset"]
             + counters["skipped_bytes"]
         ) == len(data)
+
+
+class TestGatedProfiles:
+    """Every pattern of these dataset sets has an acceptable required
+    literal, so each plan gates them all and can skip."""
+
+    @pytest.mark.parametrize("name", ["ClamAV", "YARA", "Prosite"])
+    def test_sixteen_gated(self, name):
+        patterns = load_dataset(name, 16, 1)
+        info = PatternSet(patterns, engine="fused")._fused.prefilter_info()
+        assert (info["gated_patterns"], info["open_patterns"]) == (16, 0)
+        assert info["skippable"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=50_000),
+    max_len=st.integers(min_value=2, max_value=5),
+    max_alts=st.integers(min_value=1, max_value=4),
+    max_pre=st.integers(min_value=0, max_value=6),
+)
+def test_an_acceptable_root_candidate_is_never_lost(
+    seed, max_len, max_alts, max_pre
+):
+    """``extract_literals`` returns hints exactly when one of the root's
+    candidates passes the acceptance rules: a candidate the rules reject
+    never shadows one they pass, at any depth."""
+    from repro.compiler.prefilter import _accept, _candidates, _Limits, _Memos
+
+    node = random_regex(
+        random.Random(seed), alphabet=b"abcd", depth=3, max_bound=6
+    )
+    limits = _Limits(max_len=max_len, max_alts=max_alts, max_pre=max_pre)
+    acceptable = [
+        candidate
+        for candidate in _candidates(node, _Memos(limits))
+        if _accept(candidate, limits) is not None
+    ]
+    literals = extract_literals(
+        node, max_len=max_len, max_alts=max_alts, max_pre=max_pre
+    )
+    assert (literals is not None) == bool(acceptable), str(node)
 
 
 # --- extraction soundness: every match contains a hint in-window --------
@@ -404,3 +456,153 @@ def test_only_a_complete_set_of_spellings_folds():
         {"literal": "Ax", "pre": 0}, {"literal": "ax", "pre": 0}
     ]
     assert info["folded_literals"] == [{"literal": "b-x", "pre": 0}]
+
+
+# --- the code-unit sweep: every literal at once, the windows of find ----
+
+#: Bytes of the sweep tests: 0xD8-0xDF (the high bytes of UTF-16
+#: surrogates), 0xC8-0xCF (what the sweep's byte map merges them with)
+#: and a few letters, so that heads are shared and occurrences overlap.
+_UNIT_ALPHABET = b"\xc8\xcf\xd8\xd9\xdfaAbB-"
+
+
+def _find_windows(text, literals, start):
+    """The reference: one ``bytes.find`` pass per literal."""
+    spans = []
+    for literal, pre in literals:
+        idx = text.find(literal, start)
+        while idx >= 0:
+            spans.append((max(idx - pre, start), idx + 1))
+            idx = text.find(literal, idx + 1)
+    return sorted(spans)
+
+
+_unit_literal = st.lists(
+    st.sampled_from(_UNIT_ALPHABET), min_size=2, max_size=16
+).map(bytes)
+
+
+@st.composite
+def _unit_case(draw):
+    """``(literals, data, start)``: 1-12 distinct literals of 2-16 bytes
+    with their ``pre``, and a chunk built from whole literals, their
+    heads and noise, or, in one case of four, from heads alone, so that
+    every code unit at even offsets is a key head."""
+    literals = draw(
+        st.lists(
+            st.tuples(_unit_literal, st.integers(0, 5)),
+            min_size=1,
+            max_size=12,
+            unique_by=lambda hint: hint[0],
+        )
+    )
+    heads = [literal[:2] for literal, _ in literals]
+    if draw(st.integers(0, 3)) == 0:
+        piece = st.sampled_from(heads)
+    else:
+        piece = st.one_of(
+            st.sampled_from([literal for literal, _ in literals]),
+            st.sampled_from(heads),
+            st.lists(st.sampled_from(_UNIT_ALPHABET), max_size=3).map(bytes),
+        )
+    data = b"".join(draw(st.lists(piece, max_size=24)))
+    return tuple(literals), data, draw(st.integers(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_unit_case())
+def test_unit_sweep_finds_what_find_finds(case):
+    """Searched as code units at both byte parities, every literal yields
+    exactly the windows of its own ``find`` pass: overlapping, adjacent
+    and chunk-final occurrences, 2- and 3-byte literals, shared heads
+    and bytes the map merges."""
+    from repro.matching.fused import _UnitSweep
+
+    literals, data, start = case
+    spans = []
+    _UnitSweep(literals).sweep(data, start, spans)
+    assert sorted(spans) == _find_windows(data, literals, start)
+
+
+def test_unit_sweep_every_unit_a_head():
+    """A chunk of nothing but key heads, at both parities, with many
+    heads per group: each candidate is checked, none is invented."""
+    from repro.matching.fused import _UnitSweep
+
+    rng = random.Random(5)
+    words = {
+        bytes(rng.choice(b"\xd8\xdc\xdfab-") for _ in range(rng.randint(2, 9)))
+        for _ in range(120)
+    }
+    literals = tuple((word, 3) for word in sorted(words))
+    heads = sorted({literal[:2] for literal, _ in literals})
+    sweep = _UnitSweep(literals)
+    assert len(sweep.searches) > 1
+    data = b"".join(rng.choice(heads) for _ in range(600))
+    for chunk in (data, data[1:], b"x" + data):
+        for start in (0, 1):
+            spans = []
+            sweep.sweep(chunk, start, spans)
+            assert sorted(spans) == _find_windows(chunk, literals, start)
+
+
+def _escaped(literal):
+    return "".join(f"\\x{byte:02x}" for byte in literal)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(case=_unit_case(), fold=st.booleans())
+def test_unit_sweep_plan_arms_the_find_windows(case, fold):
+    """Through a plan whose every sweep searches code units (the
+    crossover lowered to one literal), the armed windows equal those of
+    one ``find`` per literal, folded ``(?i)`` literals over the
+    lower-cased chunk, and the scan equals the unfiltered bitset tier's."""
+    from unittest import mock
+
+    from repro.matching import fused as fused_module
+
+    literals, data, start = case
+    patterns = [_escaped(literal) for literal, _ in literals]
+    if fold:
+        patterns[:3] = ["(?i)" + pattern for pattern in patterns[:3]]
+    compiled = [compile_pattern(p, i, OPTIONS) for i, p in enumerate(patterns)]
+    with mock.patch.object(fused_module, "UNIT_SWEEP_MIN_LITERALS", 1):
+        matcher = build_fused(compiled)
+    plan = matcher._plan
+    assume(plan is not None)
+    assert all(units is not None for _, _, units in plan.sweeps)
+    n = len(data)
+    spans = [(max(n - plan.tail, start), n)] if n > start else []
+    spans += _find_windows(data, plan.hints, start)
+    spans += _find_windows(data.lower(), plan.folded, start)
+    segments = matcher._segments(data, start)
+    armed = [(lo, hi) for lo, hi, mode in segments if mode == 0]
+    assert armed == _windows(spans)
+    expected = build_fused(compiled, table_states=0, prefilter=False)
+    assert matcher.scan(data) == expected.scan(data)
+
+
+class TestUnitSweepPlans:
+    """Which plans search code units, and RegexLib-64's fully gated plan."""
+
+    def test_regexlib_64_is_fully_gated(self):
+        patterns = load_dataset("RegexLib", 64, 1)
+        matcher = PatternSet(patterns, engine="fused")._fused
+        info = matcher.prefilter_info()
+        counts = (info["gated_patterns"], info["open_patterns"])
+        assert counts == (64, 0) and info["skippable"]
+        ((folded, literals, units),) = matcher._plan.sweeps
+        assert not folded and len(literals) == 113
+        assert len(units.by_head) == 66 and len(units.searches) == 4
+
+    def test_small_plans_keep_the_find_loop(self):
+        for name in ("log_scan", "ids"):
+            lines = WORKLOAD_PROFILES[name].ruleset_lines()
+            patterns = import_rules(lines).accepted_patterns
+            plan = PatternSet(patterns, engine="fused")._fused._plan
+            assert plan.sweeps
+            assert all(units is None for _, _, units in plan.sweeps)
